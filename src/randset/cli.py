@@ -19,12 +19,12 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .experiments import (
-    KMReport,
+    Trajectory,
     cone_tracking,
     exact_cell_expansion,
     halo_certificate,
@@ -46,17 +46,6 @@ from .mixing import (
     summability_report,
 )
 from .processes import SetProcessSpec
-
-EXPERIMENTS = (
-    "hausdorff_slln",
-    "km_diagnostics",
-    "cone_tracking",
-    "halo_certificate",
-    "phi_profile",
-    "conditions_report",
-    "cell_expansion",
-    "scalar_slln",
-)
 
 SEED_OVERRIDE_VAR = "RANDSET_SEED_OVERRIDE"
 
@@ -134,7 +123,10 @@ def _parse_driver(obj, where: str, problems: list[str]) -> ScalarDriver | None:
             return iid_driver(law) if law else None
         if fam == "m_dependent":
             law = _parse_law(obj["law"], f"{where}.law", problems)
-            return m_dependent_driver(int(obj["m"]), law) if law else None
+            if not _is_int(obj["m"]):
+                problems.append(f"{where}.m: must be an integer, got {obj['m']!r}")
+                return None
+            return m_dependent_driver(obj["m"], law) if law else None
         if fam == "finite_markov":
             return markov_driver(obj["transition"], obj["stationary"], obj["emissions"])
         le = _parse_law(obj["law_even"], f"{where}.law_even", problems)
@@ -156,7 +148,24 @@ _EXPERIMENT_KEYS = {
     "cell_expansion": {"family", "driver", "n_max"},
     "scalar_slln": {"driver", "n_max", "checkpoints"},
 }
+EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 _TOLERANCE_KEYS = {"final_value", "min_pass_count", "km_tolerance"}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _vectors(obj: dict, key: str, problems: list[str]) -> tuple[tuple[float, ...], ...]:
+    vs = obj.get(key, [])
+    if not isinstance(vs, list) or not all(isinstance(v, list) and all(map(_is_number, v)) for v in vs):
+        problems.append(f"{key}: must be a list of coordinate lists")
+        return ()
+    return tuple(tuple(float(c) for c in v) for v in vs)
 
 
 @dataclass(frozen=True)
@@ -213,7 +222,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     n_max_ok = True
     if "n_max" in _EXPERIMENT_KEYS[exp]:
         n_max = obj.get("n_max")
-        if not isinstance(n_max, int) or n_max < 1:
+        if not _is_int(n_max) or n_max < 1:
             problems.append(f"n_max: must be a positive integer, got {n_max!r}")
             n_max, n_max_ok = 1, False
 
@@ -221,43 +230,54 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if "checkpoints" in _EXPERIMENT_KEYS[exp]:
         if not checkpoints:
             problems.append("missing key 'checkpoints'")
-        elif not all(isinstance(c, int) and c >= 1 for c in checkpoints) or list(checkpoints) != sorted(
-            checkpoints
+        elif not isinstance(checkpoints, list) or not all(_is_int(c) and c >= 1 for c in checkpoints) or (
+            checkpoints != sorted(checkpoints)
         ) or (n_max_ok and checkpoints[-1] > n_max):
             problems.append("checkpoints: must be sorted positive integers within n_max")
 
     seeds = obj.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(map(_is_int, seeds)):
         problems.append("seeds: must be a nonempty list of integers")
         seeds = [0]
     override = os.environ.get(SEED_OVERRIDE_VAR)
     if override is not None:
-        seeds = [int(override)]
+        try:
+            seeds = [int(override)]
+        except ValueError:
+            problems.append(f"{SEED_OVERRIDE_VAR}: must be an integer, got {override!r}")
 
     tolerances = obj.get("tolerances", {})
-    if not isinstance(tolerances, dict) or set(tolerances) - _TOLERANCE_KEYS:
-        problems.append(f"tolerances: unknown keys {sorted(set(tolerances) - _TOLERANCE_KEYS)}")
+    if not isinstance(tolerances, dict):
+        problems.append("tolerances: must be an object")
         tolerances = {}
+    elif set(tolerances) - _TOLERANCE_KEYS:
+        problems.append(f"tolerances: unknown keys {sorted(set(tolerances) - _TOLERANCE_KEYS)}")
+    elif not all((_is_int if k == "min_pass_count" else _is_number)(v) for k, v in tolerances.items()):
+        problems.append("tolerances: min_pass_count must be an integer, the others numbers")
 
     target = obj.get("target", "coA")
     if target not in ("A", "coA"):
         problems.append(f"target: must be 'A' or 'coA', got {target!r}")
 
-    probes = tuple(tuple(float(c) for c in p) for p in obj.get("probes", []))
-    window_radius = float(obj.get("window_radius", 0.0) or 0.0)
-    if exp == "km_diagnostics" and window_radius <= 0:
+    probes = _vectors(obj, "probes", problems)
+    window_radius = obj.get("window_radius", 0.0)
+    if not _is_number(window_radius):
+        problems.append(f"window_radius: must be a number, got {window_radius!r}")
+    elif exp == "km_diagnostics" and window_radius <= 0:
         problems.append("window_radius: must be positive")
 
     n_terms = obj.get("n_terms", 0)
-    if "n_terms" in _EXPERIMENT_KEYS[exp] and (not isinstance(n_terms, int) or n_terms < 10):
+    if "n_terms" in _EXPERIMENT_KEYS[exp] and (not _is_int(n_terms) or n_terms < 10):
         problems.append(f"n_terms: must be an integer >= 10, got {n_terms!r}")
 
-    targets = tuple(tuple(float(c) for c in t) for t in obj.get("targets", []))
-    directions = tuple(tuple(float(c) for c in d) for d in obj.get("directions", []))
+    targets = _vectors(obj, "targets", problems)
+    directions = _vectors(obj, "directions", problems)
     expect = obj.get("expect")
     if expect is not None and not isinstance(expect, str):
         problems.append("expect: must be a string verdict")
     output_dir = obj.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        problems.append(f"output_dir: must be a path string, got {output_dir!r}")
 
     if problems:
         raise ConfigInvalid(problems)
@@ -271,7 +291,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         checkpoints=tuple(int(c) for c in checkpoints),
         target=target,
         probes=probes,
-        window_radius=window_radius,
+        window_radius=float(window_radius),
         n_terms=int(n_terms) if n_terms else 0,
         targets=targets,
         directions=directions,
@@ -309,38 +329,33 @@ def bundled_config_path(name: str) -> Path:
 # experiment execution
 
 
-def _seed_trajectories(args):
+def _seed_trajectory(args) -> Trajectory:
     cfg, seed = args
-    if cfg.experiment == "scalar_slln":
-        pts = scalar_slln_trajectory(cfg.driver, cfg.n_max, cfg.checkpoints, seed)
-        return seed, [(n, v) for n, v in pts]
-    trajs = run_hausdorff_slln(cfg.spec, cfg.target, cfg.n_max, cfg.checkpoints, [seed])
-    return seed, list(zip(trajs[0].checkpoints, trajs[0].values))
+    if cfg.experiment == "hausdorff_slln":
+        return run_hausdorff_slln(cfg.spec, cfg.target, cfg.n_max, cfg.checkpoints, [seed])[0]
+    ns, values = zip(*scalar_slln_trajectory(cfg.driver, cfg.n_max, cfg.checkpoints, seed))
+    return Trajectory(checkpoints=ns, values=values, metric_name="scalar_slln", seed=seed)
 
 
 def _run_trajectory_experiment(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
-    metric = "scalar_slln" if cfg.experiment == "scalar_slln" else f"hausdorff_{cfg.spec.family}_{cfg.target}"
     jobs = [(cfg, s) for s in cfg.seeds]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_seed_trajectories, jobs))
+    # a fork-started pool launches every worker at once, so never ask for
+    # more than there are seeds or CPUs
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trajectories = list(pool.map(_seed_trajectory, jobs))
     else:
-        results = [_seed_trajectories(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    rows = ["metric,seed,n,value"]
-    finals = {}
-    for seed, pts in results:
-        for n, v in pts:
-            rows.append(f"{metric},{seed},{n},{v!r}")
-        finals[seed] = pts[-1][1]
-    (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
+        trajectories = [_seed_trajectory(j) for j in jobs]
+    (out / "trajectory.csv").write_text(trajectory_csv(trajectories))
+    finals = {t.seed: t.values[-1] for t in trajectories}
     tol = float(cfg.tolerances.get("final_value", 0.02))
     need = int(cfg.tolerances.get("min_pass_count", len(cfg.seeds)))
     passed = sum(1 for v in finals.values() if v <= tol)
     verdict = "converged" if passed >= need else "not_converged"
     report = {
         "experiment": cfg.experiment,
-        "metric": metric,
+        "metric": trajectories[0].metric_name,
         "final_values": {str(s): finals[s] for s in sorted(finals)},
         "final_tolerance": tol,
         "passing_seeds": passed,
@@ -350,29 +365,23 @@ def _run_trajectory_experiment(cfg: ExperimentConfig, out: Path, threads: int) -
     return verdict, report
 
 
-def _run_km(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
+def _merge_per_seed(cfg: ExperimentConfig, reports) -> tuple[str, dict]:
+    verdicts = {r.verdict for r in reports}
+    verdict = verdicts.pop() if len(verdicts) == 1 else "mixed"
+    return verdict, {"experiment": cfg.experiment, "verdict": verdict, "per_seed": [r.as_dict() for r in reports]}
+
+
+def _run_km(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
     tol = float(cfg.tolerances.get("km_tolerance", 0.05))
-    reports = [
-        run_km_diagnostics(
-            cfg.spec, cfg.probes, cfg.window_radius, cfg.n_max, cfg.checkpoints, s, tolerance=tol
-        )
-        for s in cfg.seeds
-    ]
-    verdicts = {r.verdict for r in reports}
-    verdict = verdicts.pop() if len(verdicts) == 1 else "mixed"
-    report = {"experiment": cfg.experiment, "verdict": verdict, "per_seed": [r.as_dict() for r in reports]}
-    return verdict, report
+    args = (cfg.spec, cfg.probes, cfg.window_radius, cfg.n_max, cfg.checkpoints)
+    return _merge_per_seed(cfg, [run_km_diagnostics(*args, s, tolerance=tol) for s in cfg.seeds])
 
 
-def _run_cone_tracking(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
-    reports = [cone_tracking(cfg.spec, cfg.n_max, s) for s in cfg.seeds]
-    verdicts = {r.verdict for r in reports}
-    verdict = verdicts.pop() if len(verdicts) == 1 else "mixed"
-    report = {"experiment": cfg.experiment, "verdict": verdict, "per_seed": [r.as_dict() for r in reports]}
-    return verdict, report
+def _run_cone_tracking(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
+    return _merge_per_seed(cfg, [cone_tracking(cfg.spec, cfg.n_max, s) for s in cfg.seeds])
 
 
-def _run_halo(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
+def _run_halo(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
     per_seed = []
     all_ok = True
     for s in cfg.seeds:
@@ -386,14 +395,8 @@ def _run_halo(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
     return verdict, {"experiment": cfg.experiment, "verdict": verdict, "per_seed": per_seed}
 
 
-def _run_phi(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
-    d = cfg.driver
-    if d.family == "finite_markov":
-        profile = PhiProfile.from_markov_chain(d.transition, d.stationary, cfg.n_terms)
-    elif d.family == "m_dependent":
-        profile = PhiProfile.zero_tail(cfg.n_terms, zero_after=d.m)
-    else:
-        profile = PhiProfile.zero_tail(cfg.n_terms)
+def _run_phi(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
+    profile = PhiProfile.for_driver(cfg.driver, cfg.n_terms)
     (out / "phi.csv").write_text("\n".join(profile.csv_rows()) + "\n")
     rep = summability_report(profile)
     return rep.verdict, {
@@ -404,14 +407,14 @@ def _run_phi(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
     }
 
 
-def _run_conditions(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
+def _run_conditions(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
     rep = slln_hypotheses_report(cfg.spec, cfg.targets, cfg.directions, cfg.n_terms)
     d = rep.as_dict()
     d["experiment"] = cfg.experiment
     return rep.overall, d
 
 
-def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
+def _run_expansion(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
     per_seed = []
     for s in cfg.seeds:
         sn = exact_cell_expansion(cfg.spec, cfg.n_max, s)
@@ -420,23 +423,24 @@ def _run_expansion(cfg: ExperimentConfig, out: Path) -> tuple[str, dict]:
     return "ok", {"experiment": cfg.experiment, "verdict": "ok", "n": cfg.n_max, "per_seed": per_seed}
 
 
+# only private runners go in this table: they reach the public experiment
+# functions through module globals, which bench/tracer.py patches to time them
+_RUNNERS = {
+    "hausdorff_slln": _run_trajectory_experiment,
+    "scalar_slln": _run_trajectory_experiment,
+    "km_diagnostics": _run_km,
+    "cone_tracking": _run_cone_tracking,
+    "halo_certificate": _run_halo,
+    "phi_profile": _run_phi,
+    "conditions_report": _run_conditions,
+    "cell_expansion": _run_expansion,
+}
+
+
 def run_config(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> tuple[int, str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.experiment in ("hausdorff_slln", "scalar_slln"):
-        verdict, report = _run_trajectory_experiment(cfg, out, threads)
-    elif cfg.experiment == "km_diagnostics":
-        verdict, report = _run_km(cfg, out)
-    elif cfg.experiment == "cone_tracking":
-        verdict, report = _run_cone_tracking(cfg, out)
-    elif cfg.experiment == "halo_certificate":
-        verdict, report = _run_halo(cfg, out)
-    elif cfg.experiment == "phi_profile":
-        verdict, report = _run_phi(cfg, out)
-    elif cfg.experiment == "conditions_report":
-        verdict, report = _run_conditions(cfg, out)
-    else:
-        verdict, report = _run_expansion(cfg, out)
+    verdict, report = _RUNNERS[cfg.experiment](cfg, out, threads)
     report["config"] = cfg.raw
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     summary = f"{cfg.experiment} seeds={len(cfg.seeds)} verdict={verdict}"

@@ -14,27 +14,24 @@ tolerance, and a bounded outlier allowance, reported as evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     SetUnion,
-    hausdorff,
     minkowski_sum,
     point_to_cell_distance,
     point_to_union_distance,
     scale,
-    union_of,
     vnorm,
 )
-from .mixing import ScalarDriver, checkpoint_means, draw_sequence, summability_report
+from .mixing import PhiProfile, checkpoint_means, draw_sequence, summability_report
 from .processes import (
     AXIS_RAY,
     SetProcessSpec,
     _sign_driver,
     expectation,
-    phi_profile_for,
     sample_set,
     selection_moment_series,
     support_moment_series,
@@ -79,6 +76,16 @@ def trajectory_csv(trajectories) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _lattice_distance(x: float, m: float, n: int) -> float:
+    """Distance from x to the lattice {m + i/n : 0 <= i <= n}."""
+    if x < m:
+        return m - x
+    if x > m + 1.0:
+        return x - (m + 1.0)
+    t = (x - m) * n
+    return min(t - math.floor(t), math.ceil(t) - t) / n
+
+
 def lattice_interval_hausdorff(m: float, n: int) -> float:
     """Exact H between the lattice {m + i/n : 0 <= i <= n} and [0, 1].
 
@@ -86,16 +93,7 @@ def lattice_interval_hausdorff(m: float, n: int) -> float:
     interval endpoints' grid distances and the half-gap 1/(2n) when a full
     lattice gap sits inside [0, 1]. All candidates are O(1) to evaluate.
     """
-
-    def to_lattice(x: float) -> float:
-        if x < m:
-            return m - x
-        if x > m + 1.0:
-            return x - (m + 1.0)
-        t = (x - m) * n
-        return min(t - math.floor(t), math.ceil(t) - t) / n
-
-    cands = [abs(m), to_lattice(0.0), to_lattice(1.0)]
+    cands = [abs(m), _lattice_distance(0.0, m, n), _lattice_distance(1.0, m, n)]
     i_lo = max(0, math.ceil(-m * n - 0.5))
     i_hi = min(n - 1, math.floor((1.0 - m) * n - 0.5))
     if i_lo <= i_hi:
@@ -114,17 +112,7 @@ def lattice_two_point_hausdorff(m: float, n: int) -> float:
     for i in (math.floor(mid), math.ceil(mid)):
         if 0 <= i <= n:
             cands.append(to_pair(m + i / n))
-    sup_lat = max(cands)
-
-    def to_lattice(x: float) -> float:
-        if x < m:
-            return m - x
-        if x > m + 1.0:
-            return x - (m + 1.0)
-        t = (x - m) * n
-        return min(t - math.floor(t), math.ceil(t) - t) / n
-
-    return max(sup_lat, to_lattice(0.0), to_lattice(1.0))
+    return max(max(cands), _lattice_distance(0.0, m, n), _lattice_distance(1.0, m, n))
 
 
 def run_hausdorff_slln(
@@ -150,13 +138,9 @@ def run_hausdorff_slln(
         means = checkpoint_means(spec.driver, n_max, checkpoints, seed)
         values = []
         for cp, m in zip(checkpoints, means):
-            if spec.family == "segment":
-                values.append(abs(m - mu))
-            elif spec.family == "two_point":
-                if target == "coA":
-                    values.append(lattice_interval_hausdorff(m - mu, cp))
-                else:
-                    values.append(lattice_two_point_hausdorff(m - mu, cp))
+            if spec.family == "two_point":
+                lattice_h = lattice_interval_hausdorff if target == "coA" else lattice_two_point_hausdorff
+                values.append(lattice_h(m - mu, cp))
             else:
                 values.append(abs(m - mu))
         out.append(
@@ -275,8 +259,18 @@ class KMReport:
         return d
 
 
-def _ray_signs(spec: SetProcessSpec, n_max: int, seed: int) -> np.ndarray:
-    return draw_sequence(_sign_driver(spec), n_max, seed)
+def _ray_tilts(spec: SetProcessSpec, n_max: int, seed: int):
+    """(tilts, alpha_plus, alpha_minus) of the ray family at indices 1..n_max.
+
+    The n-th tilt is sign_n / n; alpha_plus is the running max of the
+    positive tilts (-inf before the first) and alpha_minus the running min of
+    the negative ones (+inf before the first).
+    """
+    signs = draw_sequence(_sign_driver(spec), n_max, seed)
+    tilts = signs / np.arange(1, n_max + 1, dtype=float)
+    alpha_plus = np.maximum.accumulate(np.where(tilts > 0, tilts, -np.inf))
+    alpha_minus = np.minimum.accumulate(np.where(tilts < 0, tilts, np.inf))
+    return tilts, alpha_plus, alpha_minus
 
 
 def cone_tracking(spec: SetProcessSpec, n_max: int, seed: int) -> KMReport:
@@ -292,9 +286,9 @@ def cone_tracking(spec: SetProcessSpec, n_max: int, seed: int) -> KMReport:
         raise ValueError("cone tracking only applies to the random_ray family")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    signs = _ray_signs(spec, n_max, seed)
-    pos = np.flatnonzero(signs > 0)
-    neg = np.flatnonzero(signs < 0)
+    tilts, alpha_plus, alpha_minus = _ray_tilts(spec, n_max, seed)
+    pos = np.flatnonzero(tilts > 0)
+    neg = np.flatnonzero(tilts < 0)
     if len(pos) == 0 or len(neg) == 0:
         return KMReport(verdict="no_mixed_signs", seed=int(seed))
     k_plus = int(pos[0]) + 1
@@ -303,10 +297,6 @@ def cone_tracking(spec: SetProcessSpec, n_max: int, seed: int) -> KMReport:
     # alpha_n^+ is the running max of positive tilts; tilts shrink with the
     # index, so it must equal 1/k_plus from k_plus onward (checked, not assumed)
     n0 = max(k_plus, k_minus)
-    idx = np.arange(1, n_max + 1, dtype=float)
-    tilts = signs / idx
-    alpha_plus = np.maximum.accumulate(np.where(tilts > 0, tilts, -np.inf))
-    alpha_minus = np.minimum.accumulate(np.where(tilts < 0, tilts, np.inf))
     persistent = np.all(alpha_plus[n0 - 1 :] >= witness_angle) and np.all(
         alpha_minus[n0 - 1 :] <= -1.0 / k_minus
     )
@@ -320,10 +310,6 @@ def cone_tracking(spec: SetProcessSpec, n_max: int, seed: int) -> KMReport:
         witness_distance=math.sin(witness_angle),
     )
     return KMReport(verdict="fails_with_certificate", seed=int(seed), certificate=cert)
-
-
-def _point_on_axis_ray(p) -> bool:
-    return abs(p[1]) <= 1e-9 and p[0] >= -1e-9
 
 
 def run_km_diagnostics(
@@ -367,10 +353,10 @@ def run_km_diagnostics(
     return _km_bounded(spec, probes, window_radius, checkpoints, seed, tolerance)
 
 
-def _finish_km(verdict_ok, probe_rows, excess, methods, probes, checkpoints, window_radius, tolerance, seed, certificate=None):
+def _finish_km(probe_rows, excess, methods, probes, checkpoints, window_radius, tolerance, seed, certificate=None):
     if certificate is not None:
         verdict = "fails_with_certificate"
-    elif verdict_ok:
+    elif max(r[-1] for r in probe_rows) <= tolerance and excess[-1] <= tolerance:
         verdict = "converges_evidence"
     else:
         verdict = "inconclusive"
@@ -405,16 +391,11 @@ def _km_needle(spec, probes, R, checkpoints, seed, tolerance, cell_budget_n):
                 probe_rows[i].append(0.0)  # the untranslated ray is always a cell
             excess.append(harmonic_halo_radius(cp))
             methods.append("halo_bound_r_n")
-    ok = max(r[-1] for r in probe_rows) <= tolerance and excess[-1] <= tolerance
-    return _finish_km(ok, probe_rows, excess, methods, probes, checkpoints, R, tolerance, seed)
+    return _finish_km(probe_rows, excess, methods, probes, checkpoints, R, tolerance, seed)
 
 
 def _km_ray(spec, probes, R, n_max, checkpoints, seed, tolerance):
-    signs = _ray_signs(spec, n_max, seed)
-    idx = np.arange(1, n_max + 1, dtype=float)
-    tilts = signs / idx
-    alpha_plus = np.maximum.accumulate(np.where(tilts > 0, tilts, -np.inf))
-    alpha_minus = np.minimum.accumulate(np.where(tilts < 0, tilts, np.inf))
+    tilts, alpha_plus, alpha_minus = _ray_tilts(spec, n_max, seed)
     min_abs = np.minimum.accumulate(np.abs(tilts))
     probe_rows = [[] for _ in probes]
     excess, methods = [], []
@@ -433,8 +414,7 @@ def _km_ray(spec, probes, R, n_max, checkpoints, seed, tolerance):
     tracked = cone_tracking(spec, n_max, seed)
     if tracked.verdict == "fails_with_certificate":
         cert = tracked.certificate
-    ok = max(r[-1] for r in probe_rows) <= tolerance and excess[-1] <= tolerance
-    return _finish_km(ok, probe_rows, excess, methods, probes, checkpoints, R, tolerance, seed, certificate=cert)
+    return _finish_km(probe_rows, excess, methods, probes, checkpoints, R, tolerance, seed, certificate=cert)
 
 
 def _km_bounded(spec, probes, R, checkpoints, seed, tolerance):
@@ -450,19 +430,14 @@ def _km_bounded(spec, probes, R, checkpoints, seed, tolerance):
             excess.append(max(abs(m - mu), 0.0))
         elif spec.family == "two_point":
             for i, p in enumerate(probes):
-                t = (p[0] - m) * cp
-                d = (min(t - math.floor(t), math.ceil(t) - t) / cp) if 0.0 <= p[0] - m <= 1.0 else max(
-                    m - p[0], p[0] - m - 1.0
-                )
-                probe_rows[i].append(d)
+                probe_rows[i].append(_lattice_distance(p[0], m, cp))
             excess.append(abs(m - mu))
         else:  # random_ball
             for i, p in enumerate(probes):
                 probe_rows[i].append(max(0.0, vnorm(p) - m))
             excess.append(max(0.0, m - mu))
         methods.append("parametric_mean")
-    ok = max(r[-1] for r in probe_rows) <= tolerance and excess[-1] <= tolerance
-    return _finish_km(ok, probe_rows, excess, methods, probes, checkpoints, R, tolerance, seed)
+    return _finish_km(probe_rows, excess, methods, probes, checkpoints, R, tolerance, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +482,7 @@ def slln_hypotheses_report(spec: SetProcessSpec, targets, directions, N: int) ->
     outside the polar cone of the recession cone and are marked vacuous; they
     cannot violate anything.
     """
-    profile = phi_profile_for(spec, max(N, 10))
+    profile = PhiProfile.for_driver(spec.driver, max(N, 10))
     mix = summability_report(profile)
     violated = None
     witness = None

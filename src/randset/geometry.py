@@ -317,7 +317,7 @@ def extreme_points(points, dim: int):
         return [lo] if _close(lo, hi) else [lo, hi]
     if dim == 2:
         return _hull_2d(pts)
-    return _extreme_filter_lp(pts)
+    return sorted(_drop_absorbed(pts, ()))
 
 
 def _hull_2d(pts):
@@ -348,20 +348,6 @@ def _hull_2d(pts):
     return hull
 
 
-def _extreme_filter_lp(pts):
-    from scipy.optimize import linprog
-
-    kept = list(pts)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if others and _in_hull_lp(kept[i], others, ()):
-            kept.pop(i)
-        else:
-            i += 1
-    return sorted(kept)
-
-
 def _in_hull_lp(p, vertices, generators) -> bool:
     from scipy.optimize import linprog
 
@@ -384,17 +370,14 @@ def _in_hull_lp(p, vertices, generators) -> bool:
     return res.status == 0
 
 
-def _reduce_base_mod_cone(vertices, cone: Cone):
-    """Drop base vertices absorbed by other vertices plus the cone."""
-    if cone.is_trivial or len(vertices) == 1:
-        return list(vertices)
-    if cone.full_space:
-        return [tuple(0.0 for _ in range(cone.dim))]
+def _drop_absorbed(vertices, generators):
+    """The vertices left after dropping, one at a time, each vertex that lies
+    in the convex hull of the others plus the cone of the generators."""
     kept = list(vertices)
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1 :]
-        if others and _in_hull_lp(kept[i], others, cone.generators):
+        if others and _in_hull_lp(kept[i], others, generators):
             kept.pop(i)
         else:
             i += 1
@@ -406,7 +389,8 @@ def poly_cell(vertices, cone_generators=(), dim: int | None = None, full_space: 
     d = len(verts[0])
     cone = Cone.from_generators(d, cone_generators, full_space=full_space)
     ext = extreme_points(verts, d)
-    ext = _reduce_base_mod_cone(ext, cone)
+    if len(ext) > 1 and not cone.is_trivial:
+        ext = [tuple(0.0 for _ in range(d))] if cone.full_space else _drop_absorbed(ext, cone.generators)
     ext = extreme_points(ext, d) if len(ext) > 1 else ext
     return ConvexCell(base=Polytope(vertices=tuple(ext)), cone=cone)
 
@@ -753,14 +737,18 @@ def _dist_to_intervals(x: float, intervals) -> float:
 
 def _directed_intervals(a_int, b_int) -> float:
     # sup of d(., B) over A is attained at A's endpoints or at gap midpoints
-    # of B that fall inside A (local maxima of the piecewise-linear distance)
+    # of B that fall inside A (local maxima of the piecewise-linear distance).
+    # A gap of B starts at the running right end of the intervals before it,
+    # because a nested interval can end before the one preceding it does.
     cands = [e for lo, hi in a_int for e in (lo, hi)]
-    merged = sorted(b_int)
-    for (lo1, hi1), (lo2, hi2) in zip(merged, merged[1:]):
-        if lo2 > hi1:
-            mid = 0.5 * (hi1 + lo2)
+    ordered = sorted(b_int)
+    reach = ordered[0][1]
+    for lo_b, hi_b in ordered[1:]:
+        if lo_b > reach:
+            mid = 0.5 * (reach + lo_b)
             if any(lo <= mid <= hi for lo, hi in a_int):
                 cands.append(mid)
+        reach = max(reach, hi_b)
     return max(_dist_to_intervals(x, b_int) for x in cands)
 
 
@@ -917,18 +905,14 @@ def hausdorff_windowed(a: SetUnion, b: SetUnion, window_radius: float) -> float:
         raise ValueError("window_radius must be positive")
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if a.dim == 1:
-        ca = [v for c in a.cells if (v := _clip_cell_to_box(c, window_radius)) is not None]
-        cb = [v for c in b.cells if (v := _clip_cell_to_box(c, window_radius)) is not None]
-        if not ca or not cb:
-            raise EmptyAfterWindow("a window operand is empty after clipping")
-        ua = union_of(interval_cell(v[0][0], v[-1][0]) for v in ca)
-        ub = union_of(interval_cell(v[0][0], v[-1][0]) for v in cb)
-        return _hausdorff_1d(ua, ub)
     ca = [v for c in a.cells if (v := _clip_cell_to_box(c, window_radius)) is not None]
     cb = [v for c in b.cells if (v := _clip_cell_to_box(c, window_radius)) is not None]
     if not ca or not cb:
         raise EmptyAfterWindow("a window operand is empty after clipping")
+    if a.dim == 1:
+        ua = union_of(interval_cell(v[0][0], v[-1][0]) for v in ca)
+        ub = union_of(interval_cell(v[0][0], v[-1][0]) for v in cb)
+        return _hausdorff_1d(ua, ub)
     return max(_directed_clipped(ca, cb), _directed_clipped(cb, ca))
 
 

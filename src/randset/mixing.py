@@ -82,9 +82,7 @@ class Law:
     def mean(self) -> float:
         if self.kind == "uniform":
             return 0.5 * (self.a + self.b)
-        if self.kind == "normal":
-            return self.a
-        if self.kind == "constant":
+        if self.kind in ("normal", "constant"):
             return self.a
         return float(sum(v * w for v, w in zip(self.values, self.weights)))
 
@@ -162,8 +160,6 @@ class ScalarDriver:
     def mean(self) -> float:
         if self.family == "finite_markov":
             return float(sum(p * e for p, e in zip(self.stationary, self.emissions)))
-        if self.family == "alternating":
-            return self.law.mean
         return self.law.mean
 
     def variance_at(self, n: int) -> float:
@@ -290,8 +286,6 @@ def draw_at(driver: ScalarDriver, index: int, seed: int | None = None) -> float:
     if index < 1:
         raise ValueError("index is 1-based")
     seed = driver.seed if seed is None else seed
-    if driver.family == "finite_markov":
-        return float(_draw_markov_block(driver, seed, index - 1, 1)[0])
     return float(_draw_block(driver, seed, index - 1, 1)[0])
 
 
@@ -318,12 +312,7 @@ def _path_atoms(P: np.ndarray, pi: np.ndarray, length: int):
     """(paths, probs, end_state_index) of all state paths of given length."""
     s = P.shape[0]
     paths = list(_iproduct(range(s), repeat=length))
-    probs = np.empty(len(paths))
-    for i, path in enumerate(paths):
-        p = pi[path[0]]
-        for a, b in zip(path, path[1:]):
-            p *= P[a, b]
-        probs[i] = p
+    probs = np.array([pi[path[0]] * _path_product(P, path) for path in paths])
     ends = np.array([path[-1] for path in paths], dtype=int)
     return paths, probs, ends
 
@@ -439,6 +428,15 @@ class PhiProfile:
         the trivial bound 1 up to the window, exact zeros beyond."""
         vals = [1.0 if n <= zero_after else 0.0 for n in range(1, n_terms + 1)]
         return PhiProfile.from_values(vals, method="identically_zero")
+
+    @staticmethod
+    def for_driver(driver: ScalarDriver | None, n_terms: int) -> "PhiProfile":
+        """The dependence profile of a driver; None stands for independent draws."""
+        if driver is None or driver.family in ("iid", "alternating"):
+            return PhiProfile.zero_tail(n_terms)
+        if driver.family == "m_dependent":
+            return PhiProfile.zero_tail(n_terms, zero_after=driver.m)
+        return PhiProfile.from_markov_chain(driver.transition, driver.stationary, n_terms)
 
     def csv_rows(self):
         rows = ["n,phi,phi_sqrt_partial_sum"]

@@ -27,13 +27,12 @@ from .geometry import (
     interval_cell,
     point_cell,
     point_union,
-    poly_cell,
     ray_cell,
     support,
     union_of,
     vnorm,
 )
-from .mixing import Law, PhiProfile, ScalarDriver, draw_at, fair_sign_driver
+from .mixing import ScalarDriver, draw_at, fair_sign_driver
 
 FAMILIES = ("segment", "two_point", "random_ball", "needle_halo", "random_ray")
 
@@ -325,12 +324,3 @@ def support_moment_series(spec: SetProcessSpec, x_star, N: int) -> SupportMoment
         return SupportMomentSeries(partial_sum=math.inf, infinite_term_at=first_inf, vacuous=False)
     return SupportMomentSeries(partial_sum=0.0, infinite_term_at=None, vacuous=False)
 
-
-def phi_profile_for(spec: SetProcessSpec, n_terms: int) -> PhiProfile:
-    """The dependence profile of the family's driving randomness."""
-    d = spec.driver
-    if d is None or d.family in ("iid", "alternating"):
-        return PhiProfile.zero_tail(n_terms)
-    if d.family == "m_dependent":
-        return PhiProfile.zero_tail(n_terms, zero_after=d.m)
-    return PhiProfile.from_markov_chain(d.transition, d.stationary, n_terms)

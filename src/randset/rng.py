@@ -9,7 +9,6 @@ independent uses (driver draws, halo points, sign flips) within one seed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -21,7 +20,6 @@ _STREAM_SALT = 0xD1342543DE82EF95
 # stream ids used across the package (any distinct constants work)
 STREAM_DRIVER = 0x01
 STREAM_DRIVER_INIT = 0x02
-STREAM_SIGNS = 0x03
 STREAM_HALO_BASE = 0x1000_0000
 
 
@@ -61,11 +59,6 @@ def uniform_at(seed: int, stream: int, indices: np.ndarray | list[int]) -> np.nd
 def uniform_block(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """Uniform(0,1) draws for counter indices start .. start+count-1."""
     return uniform_at(seed, stream, np.arange(start, start + count, dtype=np.uint64))
-
-
-def normal_at(seed: int, stream: int, indices, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
-    """Normal draws via the inverse CDF, one uniform per output (index-stable)."""
-    return mean + sd * ndtri(uniform_at(seed, stream, indices))
 
 
 def unit_disk_point(seed: int, index: int) -> tuple[float, float]:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from randset import cli
 from randset.cli import (
     ConfigInvalid,
     SchemaMismatch,
@@ -74,6 +75,42 @@ def test_config_round_trip_is_canonical():
     assert parse_config(cfg.raw).raw == cfg.raw
 
 
+@pytest.mark.parametrize(
+    "base, over, seed_override, key",
+    [
+        pytest.param("needle_halo_km.json", {"probes": [["a"]]}, None, "probes", id="probes"),
+        pytest.param("needle_halo_km.json", {"window_radius": "x"}, None, "window_radius", id="window_radius"),
+        pytest.param("needle_halo_conditions.json", {"targets": [[None]]}, None, "targets", id="targets"),
+        pytest.param("needle_halo_conditions.json", {"directions": "x"}, None, "directions", id="directions"),
+        pytest.param(None, {"checkpoints": 5}, None, "checkpoints", id="checkpoints"),
+        pytest.param(None, {"n_max": True, "checkpoints": [1]}, None, "n_max", id="n_max"),
+        pytest.param(None, {"seeds": [True]}, None, "seeds", id="seeds"),
+        pytest.param(None, {"tolerances": {"final_value": "x"}}, None, "tolerances", id="tolerances"),
+        pytest.param(None, {}, "x", "RANDSET_SEED_OVERRIDE", id="seed_override"),
+        pytest.param(None, {"output_dir": 5}, None, "output_dir", id="output_dir"),
+        pytest.param(
+            None,
+            {"driver": {"family": "m_dependent", "m": 2.5, "law": {"kind": "constant", "value": 0.0}}},
+            None,
+            "driver.m",
+            id="m_dependent_m",
+        ),
+    ],
+)
+def test_malformed_values_exit_two_with_config_invalid(base, over, seed_override, key, tmp_path, monkeypatch, capsys):
+    raw = json.loads(bundled_config_path(base).read_text()) if base else minimal_cfg()
+    raw.update(over)
+    if seed_override is None:
+        monkeypatch.delenv("RANDSET_SEED_OVERRIDE", raising=False)
+    else:
+        monkeypatch.setenv("RANDSET_SEED_OVERRIDE", seed_override)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"ConfigInvalid: {key}: " in err
+
+
 # ---------------------------------------------------------------------------
 # running configs
 
@@ -123,6 +160,38 @@ def test_threads_flag_matches_serial(tmp_path):
     assert (tmp_path / "serial" / "trajectory.csv").read_bytes() == (
         tmp_path / "parallel" / "trajectory.csv"
     ).read_bytes()
+
+
+def test_threads_clamped_to_seeds_and_cpus(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and maps serially; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_cfg(seeds=[1, 2, 3])))
+    for cpus in (8, 2, 1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["run", str(path), "--out", str(tmp_path / f"cpus{cpus}"), "--threads", "5000"]) == 0
+    # three seeds cap the pool at 3; one CPU, or an unknown count, runs serially
+    assert sizes == [3, 2]
+    main(["run", str(path), "--out", str(tmp_path / "serial")])
+    want = (tmp_path / "serial" / "trajectory.csv").read_bytes()
+    for cpus in (8, 2, 1, None):
+        assert (tmp_path / f"cpus{cpus}" / "trajectory.csv").read_bytes() == want
 
 
 def test_main_exit_codes(tmp_path):

@@ -241,6 +241,23 @@ def test_interval_hausdorff_matches_endpoint_formula_and_oracle():
         assert h == pytest.approx(sampling_hausdorff_1d([tuple(a)], [tuple(b)]), abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "a_int, b_int, expected",
+    [
+        # the gap (1, 2) of B hides behind the nested [0.2, 0.3]
+        ([(0.0, 3.0)], [(0.0, 1.0), (0.2, 0.3), (2.0, 3.0)], 0.5),
+        # nested [0.6, 0.8] and overlapping [0.5, 2.5] leave the gap (2.5, 3.5)
+        ([(0.0, 4.0)], [(0.0, 1.0), (0.5, 2.5), (0.6, 0.8), (3.5, 4.0)], 0.5),
+    ],
+)
+def test_union_hausdorff_with_nested_and_overlapping_intervals(a_int, b_int, expected):
+    a = union_of([interval_cell(*i) for i in a_int])
+    b = union_of([interval_cell(*i) for i in b_int])
+    assert hausdorff(a, b) == pytest.approx(expected, abs=1e-15)
+    assert hausdorff(b, a) == pytest.approx(expected, abs=1e-15)
+    assert hausdorff(a, b) == pytest.approx(sampling_hausdorff_1d(a_int, b_int), abs=1e-4)
+
+
 def test_hausdorff_identity_of_indiscernibles():
     u = union_of([interval_cell(0, 1), point_cell((2.0,))])
     assert hausdorff(u, u) == 0.0
