@@ -84,6 +84,15 @@ def _parse_law(obj, where: str, problems: list[str]) -> Law | None:
     if extra:
         problems.append(f"{where}: unknown keys {sorted(extra)}")
         return None
+    for key in sorted(set(obj) - {"kind"}):
+        value = obj[key]
+        if key not in ("values", "weights"):
+            if not _is_number(value):
+                problems.append(f"{where}.{key}: must be a number, got {value!r}")
+                return None
+        elif not (isinstance(value, list) and all(map(_is_number, value)) or key == "weights" and value is None):
+            problems.append(f"{where}.{key}: must be a list of numbers, got {value!r}")
+            return None
     try:
         if kind == "uniform":
             return Law.uniform(obj["low"], obj["high"])

@@ -266,6 +266,8 @@ def _ray_tilts(spec: SetProcessSpec, n_max: int, seed: int):
     positive tilts (-inf before the first) and alpha_minus the running min of
     the negative ones (+inf before the first).
     """
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
     signs = draw_sequence(_sign_driver(spec), n_max, seed)
     tilts = signs / np.arange(1, n_max + 1, dtype=float)
     alpha_plus = np.maximum.accumulate(np.where(tilts > 0, tilts, -np.inf))
@@ -284,9 +286,12 @@ def cone_tracking(spec: SetProcessSpec, n_max: int, seed: int) -> KMReport:
     """
     if spec.family != "random_ray":
         raise ValueError("cone tracking only applies to the random_ray family")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    tilts, alpha_plus, alpha_minus = _ray_tilts(spec, n_max, seed)
+    return _track_sector(_ray_tilts(spec, n_max, seed), seed)
+
+
+def _track_sector(ray_tilts, seed: int) -> KMReport:
+    """cone_tracking's verdict from one `_ray_tilts` triple."""
+    tilts, alpha_plus, alpha_minus = ray_tilts
     pos = np.flatnonzero(tilts > 0)
     neg = np.flatnonzero(tilts < 0)
     if len(pos) == 0 or len(neg) == 0:
@@ -395,7 +400,8 @@ def _km_needle(spec, probes, R, checkpoints, seed, tolerance, cell_budget_n):
 
 
 def _km_ray(spec, probes, R, n_max, checkpoints, seed, tolerance):
-    tilts, alpha_plus, alpha_minus = _ray_tilts(spec, n_max, seed)
+    ray_tilts = _ray_tilts(spec, n_max, seed)
+    tilts, alpha_plus, alpha_minus = ray_tilts
     min_abs = np.minimum.accumulate(np.abs(tilts))
     probe_rows = [[] for _ in probes]
     excess, methods = [], []
@@ -410,10 +416,7 @@ def _km_ray(spec, probes, R, n_max, checkpoints, seed, tolerance):
                 probe_rows[i].append(0.0)  # the sector straddles the axis
             else:
                 probe_rows[i].append(vnorm(p) * math.sin(min(min_abs[cp - 1], 0.5 * math.pi)))
-    cert = None
-    tracked = cone_tracking(spec, n_max, seed)
-    if tracked.verdict == "fails_with_certificate":
-        cert = tracked.certificate
+    cert = _track_sector(ray_tilts, seed).certificate
     return _finish_km(probe_rows, excess, methods, probes, checkpoints, R, tolerance, seed, certificate=cert)
 
 

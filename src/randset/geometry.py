@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -80,7 +81,10 @@ def vscale(t, a):
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    acc = 0.0  # coordinate order from +0.0; sum() compensates on Python >= 3.12
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
 
 
 def vnorm(a):
@@ -388,9 +392,11 @@ def poly_cell(vertices, cone_generators=(), dim: int | None = None, full_space: 
     verts = [as_vector(v, dim) for v in vertices]
     d = len(verts[0])
     cone = Cone.from_generators(d, cone_generators, full_space=full_space)
+    if cone.full_space:  # the whole space: one canonical base, the origin
+        return ConvexCell(base=Polytope(vertices=(tuple(0.0 for _ in range(d)),)), cone=cone)
     ext = extreme_points(verts, d)
     if len(ext) > 1 and not cone.is_trivial:
-        ext = [tuple(0.0 for _ in range(d))] if cone.full_space else _drop_absorbed(ext, cone.generators)
+        ext = _drop_absorbed(ext, cone.generators)
     ext = extreme_points(ext, d) if len(ext) > 1 else ext
     return ConvexCell(base=Polytope(vertices=tuple(ext)), cone=cone)
 
@@ -432,6 +438,11 @@ class SetUnion:
     @property
     def is_bounded(self) -> bool:
         return all(c.is_bounded for c in self.cells)
+
+    @cached_property
+    def _stack(self):
+        """`_stack_cells` of the cells, built on the first support query."""
+        return _stack_cells(self.cells)
 
 
 def union_of(cells) -> SetUnion:
@@ -580,22 +591,64 @@ def convex_hull(a: SetUnion) -> ConvexCell:
 # support functions
 
 
-def _cell_support(x_star, cell: ConvexCell) -> float:
-    if cell.cone.full_space:
-        if vnorm(x_star) > 0:
-            return math.inf
-    for g in cell.cone.generators:
-        if vdot(x_star, g) > 0.0:
-            return math.inf
-    if isinstance(cell.base, Polytope):
-        return max(vdot(x_star, v) for v in cell.base.vertices)
-    return vdot(x_star, cell.base.center) + cell.base.radius * vnorm(x_star)
+def _coord_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> along the last axis, broadcast over the others.
+
+    Each sum runs in coordinate order from +0.0 with elementwise * and + only,
+    the rounding of `vdot`, so every entry is bit-identical to it and never
+    -0.0. `@`, np.dot, einsum and BLAS may reorder or fuse the operations.
+    """
+    acc = 0.0
+    for k in range(a.shape[-1]):
+        acc = acc + a[..., k] * b[..., k]
+    return acc
+
+
+def _stack_cells(cells):
+    """(points, n_verts, radii, full_space) of `cells` for `_support_rows`.
+
+    points stacks the polytope vertices, then the ball centres (radii in the
+    same order), then the cone generators.
+    """
+    verts = [v for c in cells if isinstance(c.base, Polytope) for v in c.base.vertices]
+    balls = [c.base for c in cells if isinstance(c.base, Ball)]
+    gens = [g for c in cells for g in c.cone.generators]
+    points = np.array(verts + [b.center for b in balls] + gens)
+    return points, len(verts), np.array([b.radius for b in balls]), any(c.cone.full_space for c in cells)
+
+
+def _support_rows(U: np.ndarray, stack) -> np.ndarray:
+    """Support along every row u of the (m, d) matrix U of the union of the
+    cells that `_stack_cells` stacked.
+
+    One pass of dot products against the stacked points. A row is the max of
+    <u, v> over polytope vertices v and of <u, c> + r * sqrt(<u, u>) over ball
+    bases (c, r); it is +inf where a cone generator g has <u, g> > 0 or a
+    full-space cell meets a nonzero u. Every dot product follows the
+    `_coord_dot` rounding contract (coordinate-order sums from +0.0, no BLAS),
+    so each entry equals the scalar formula bit for bit.
+    """
+    points, n_verts, radii, full_space = stack
+    n_base = n_verts + len(radii)
+    D = _coord_dot(U[:, None, :], points)
+    if len(radii):
+        D[:, n_verts:n_base] += radii * np.sqrt(_coord_dot(U, U))[:, None]
+    out = D[:, :n_base].max(axis=1)
+    if n_base < len(points):
+        out[(D[:, n_base:] > 0.0).any(axis=1)] = np.inf
+    if full_space:
+        out[_coord_dot(U, U) > 0.0] = np.inf
+    return out
 
 
 def support(x_star, a: SetUnion) -> float:
-    """sup of <x_star, x> over the union; +inf when a cone direction escapes."""
+    """sup of <x_star, x> over the union; +inf when a cone direction escapes.
+
+    The one-row case of `_support_rows`, so it rounds as `vdot` does:
+    coordinate-order sums from +0.0, no BLAS, and never -0.0.
+    """
     x_star = dual_direction(x_star, a.dim)
-    return max(_cell_support(x_star, c) for c in a.cells)
+    return float(_support_rows(np.array([x_star]), a._stack)[0])
 
 
 @dataclass(frozen=True)
@@ -607,19 +660,31 @@ class MembershipVerdict:
 def hull_membership_via_support(x, a: SetUnion, directions) -> MembershipVerdict:
     """Necessary-condition hull membership check over sampled directions.
 
-    Returns separated with a witness direction when some sampled x* has
-    <x*, x> exceeding the support by more than 1e-9; otherwise inside.
+    Returns separated with the first witness direction whose x* has
+    <x*, x> exceeding the support by more than 1e-9; otherwise inside. A
+    zero, out-of-ball or malformed direction raises only when no earlier
+    direction separates.
     """
     if not directions:
         raise ValueError("directions must be nonempty")
     x = as_vector(x, a.dim)
+    rows, error = [], None
     for d in directions:
-        d = dual_direction(d, a.dim)
-        if vnorm(d) <= DEDUP_TOL:
-            raise ValueError("separation directions must be nonzero")
-        s = support(d, a)
-        if vdot(d, x) > s + 1e-9:
-            return MembershipVerdict(inside=False, witness=d)
+        try:
+            d = dual_direction(d, a.dim)
+            if vnorm(d) <= DEDUP_TOL:
+                raise ValueError("separation directions must be nonzero")
+        except (TypeError, ValueError) as e:
+            error = e
+            break
+        rows.append(d)
+    if rows:
+        U = np.array(rows)
+        separated = np.flatnonzero(_coord_dot(U, np.array(x)) > _support_rows(U, a._stack) + 1e-9)
+        if len(separated):
+            return MembershipVerdict(inside=False, witness=rows[separated[0]])
+    if error is not None:
+        raise error
     return MembershipVerdict(inside=True)
 
 
@@ -1011,6 +1076,14 @@ def spread_directions(n: int, dim: int) -> list[tuple[float, ...]]:
     return [(float(r[i] * math.cos(phi[i])), float(r[i] * math.sin(phi[i])), float(z[i])) for i in range(n)]
 
 
+@lru_cache(maxsize=16)
+def _direction_matrix(n: int, dim: int) -> np.ndarray:
+    """spread_directions(n, dim) as a read-only (n, dim) array."""
+    U = np.array(spread_directions(n, dim), dtype=float)
+    U.flags.writeable = False
+    return U
+
+
 def hausdorff_via_support(a: ConvexCell, b: ConvexCell, n_directions: int) -> float:
     """max over spread unit directions of |s(u, a) - s(u, b)|.
 
@@ -1021,7 +1094,5 @@ def hausdorff_via_support(a: ConvexCell, b: ConvexCell, n_directions: int) -> fl
         raise UnboundedOperand("support-sampled Hausdorff needs bounded cells")
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    best = 0.0
-    for u in spread_directions(n_directions, a.dim):
-        best = max(best, abs(_cell_support(u, a) - _cell_support(u, b)))
-    return best
+    U = _direction_matrix(n_directions, a.dim)
+    return float(np.abs(_support_rows(U, _stack_cells([a])) - _support_rows(U, _stack_cells([b]))).max())

@@ -25,7 +25,6 @@ from randset.experiments import (
 from randset.geometry import (
     Cone,
     _hausdorff_convex_pair,
-    _point_to_polytope,
     ball_cell,
     convex_hull,
     hausdorff,
@@ -148,9 +147,26 @@ def _boundary_points(cell, step):
     return np.concatenate(segs)
 
 
+def _points_to_polytope(pts, verts):
+    """Distance from each row of pts to the hull of a vertex list that is a
+    point, a segment, or a counterclockwise convex polygon."""
+    V = np.array(verts)
+    n = len(V)
+    if n == 1:
+        return np.linalg.norm(pts - V[0], axis=1)
+    d = np.full(len(pts), np.inf)
+    inside = np.full(len(pts), n > 2)
+    for i in range(n if n > 2 else 1):
+        a, ab = V[i], V[(i + 1) % n] - V[i]
+        t = np.clip((pts - a) @ ab / (ab @ ab), 0.0, 1.0)
+        d = np.minimum(d, np.linalg.norm(pts - (a + t[:, None] * ab), axis=1))
+        inside &= ab[0] * (pts[:, 1] - a[1]) - ab[1] * (pts[:, 0] - a[0]) >= -1e-12
+    return np.where(inside, 0.0, d)
+
+
 def _sampling_hausdorff_polygons(pa, pb, step=1e-3):
     def directed(pts, cell):
-        return max(_point_to_polytope(tuple(p), cell.base.vertices) for p in pts)
+        return float(_points_to_polytope(pts, cell.base.vertices).max())
 
     return max(directed(_boundary_points(pa, step), pb), directed(_boundary_points(pb, step), pa))
 

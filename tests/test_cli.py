@@ -95,6 +95,18 @@ def test_config_round_trip_is_canonical():
             "driver.m",
             id="m_dependent_m",
         ),
+        *(
+            pytest.param(None, {"driver": {"family": "iid", "law": law}}, None, f"driver.law.{key}", id=f"law_{key}")
+            for law, key in (
+                ({"kind": "uniform", "low": True, "high": 2}, "low"),
+                ({"kind": "uniform", "low": 0, "high": False}, "high"),
+                ({"kind": "normal", "mean": True, "sd": 1}, "mean"),
+                ({"kind": "normal", "mean": 0, "sd": "1"}, "sd"),
+                ({"kind": "constant", "value": True}, "value"),
+                ({"kind": "choice", "values": [True, 2]}, "values"),
+                ({"kind": "choice", "values": [1, 2], "weights": [True, 0]}, "weights"),
+            )
+        ),
     ],
 )
 def test_malformed_values_exit_two_with_config_invalid(base, over, seed_override, key, tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from randset import experiments
 from randset.experiments import (
     ProbeOutsideD,
     Trajectory,
@@ -29,7 +30,7 @@ from randset.geometry import (
     recession_cone,
     union_of,
 )
-from randset.mixing import Law, alternating_driver, checkpoint_means, iid_driver, markov_driver
+from randset.mixing import Law, alternating_driver, checkpoint_means, draw_sequence, iid_driver, markov_driver
 from randset.processes import (
     AXIS_RAY,
     ball_process,
@@ -267,6 +268,19 @@ def test_km_ray_fails_with_certificate():
     assert rep.verdict == "fails_with_certificate"
     assert rep.certificate is not None
     assert min(rep.excess) >= 5.0 * math.sin(1.0 / 1000)
+
+
+def test_km_ray_draws_the_signs_once_per_seed(monkeypatch):
+    calls = []
+
+    def counting(driver, n, seed=None):
+        calls.append(seed)
+        return draw_sequence(driver, n, seed)
+
+    monkeypatch.setattr(experiments, "draw_sequence", counting)
+    for seed in (3, 4):
+        run_km_diagnostics(ray_process(), [(0.0, 0.0), (1.0, 0.0)], 5.0, 1000, [10, 1000], seed)
+    assert calls == [3, 4]
 
 
 def test_km_origin_probe_identically_zero():

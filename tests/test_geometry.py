@@ -208,6 +208,14 @@ def test_support_full_space_cone():
     assert support((0.0, 1.0), c) == math.inf
 
 
+def test_full_space_cells_share_one_canonical_base():
+    one = poly_cell([(1, 0)], full_space=True)
+    two = poly_cell([(1, 0), (2, 0)], full_space=True)
+    assert one == two
+    assert one.base.vertices == ((0.0, 0.0),)
+    assert len(union_of([one, two]).cells) == 1
+
+
 # ---------------------------------------------------------------------------
 # Hausdorff: closed forms and oracles
 

@@ -7,14 +7,24 @@ identities themselves are asserted at 1e-9 as contracted.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from randset.geometry import (
+    MembershipVerdict,
+    Polytope,
+    as_vector,
+    ball_cell,
     convex_hull,
+    dual_direction,
     hausdorff,
+    hausdorff_via_support,
+    hull_membership_via_support,
     minkowski_sum,
+    point_cell,
     point_union,
     poly_cell,
+    ray_cell,
     scale,
     spread_directions,
     support,
@@ -113,3 +123,126 @@ def test_point_union_matches_brute_oracle_2d(a, b):
 @given(point_cloud_union(1), point_cloud_union(1))
 def test_point_union_matches_brute_oracle_1d(a, b):
     assert abs(hausdorff(a, b) - grid_oracle(a, b)) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# The batched support kernel against the scalar formula, bit for bit.
+# Coordinates here are arbitrary floats, not the dyadic grid: the rounding
+# itself is under test, and results are compared by repr.
+
+
+def ref_dot(a, b):
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
+def ref_cell_support(x, cell):
+    """One cell's support along x, one generator and one vertex at a time."""
+    if cell.cone.full_space and math.sqrt(ref_dot(x, x)) > 0:
+        return math.inf
+    for g in cell.cone.generators:
+        if ref_dot(x, g) > 0.0:
+            return math.inf
+    if isinstance(cell.base, Polytope):
+        return max(ref_dot(x, v) for v in cell.base.vertices)
+    return ref_dot(x, cell.base.center) + cell.base.radius * math.sqrt(ref_dot(x, x))
+
+
+def ref_support(x, u):
+    return max(ref_cell_support(dual_direction(x, u.dim), c) for c in u.cells)
+
+
+def ref_via_support(a, b, n):
+    best = 0.0
+    for u in spread_directions(n, a.dim):
+        best = max(best, abs(ref_cell_support(u, a) - ref_cell_support(u, b)))
+    return best
+
+
+def ref_hull_membership(x, u, directions):
+    x = as_vector(x, u.dim)
+    for d in directions:
+        d = dual_direction(d, u.dim)
+        if math.sqrt(ref_dot(d, d)) <= 1e-12:
+            raise ValueError("separation directions must be nonzero")
+        if ref_dot(d, x) > ref_support(d, u) + 1e-9:
+            return MembershipVerdict(inside=False, witness=d)
+    return MembershipVerdict(inside=True)
+
+
+def outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+real = st.floats(-4.0, 4.0)
+# zero and negative-zero components; any such vector has norm <= sqrt(3) / 2
+component = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def any_cell(draw, dim, bounded=False):
+    vec = st.tuples(*[real] * dim)
+    kinds = ["polytope", "ball", "point"] + ([] if bounded else ["ray", "full_space"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "polytope":
+        return poly_cell(draw(st.lists(vec, min_size=1, max_size=4)), dim=dim)
+    if kind == "ball":
+        return ball_cell(draw(vec), draw(st.floats(0.0, 4.0)))
+    if kind == "point":
+        return point_cell(draw(vec))
+    if kind == "ray":
+        return ray_cell(draw(vec), draw(vec.filter(lambda g: math.hypot(*g) > 1e-3)))
+    return poly_cell(draw(st.lists(vec, min_size=1, max_size=2)), dim=dim, full_space=True)
+
+
+@st.composite
+def union_and_directions(draw):
+    dim = draw(st.integers(1, 3))
+    u = union_of(draw(st.lists(any_cell(dim), min_size=1, max_size=3)))
+    dirs = draw(st.lists(st.tuples(*[component] * dim), min_size=1, max_size=6))
+    return u, dirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(union_and_directions())
+def test_support_bit_identical_to_scalar_formula(case):
+    u, dirs = case
+    for d in dirs:
+        assert repr(support(d, u)) == repr(ref_support(d, u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(any_cell(dim, True), any_cell(dim, True))), st.integers(1, 64))
+def test_hausdorff_via_support_bit_identical_to_scalar_formula(pair, n):
+    a, b = pair
+    assert repr(hausdorff_via_support(a, b, n)) == repr(ref_via_support(a, b, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(union_and_directions(), st.data())
+def test_hull_membership_bit_identical_to_scalar_loop(case, data):
+    u, dirs = case
+    x = data.draw(st.tuples(*[real] * u.dim))
+    assert outcome(hull_membership_via_support, x, u, dirs) == outcome(ref_hull_membership, x, u, dirs)
+
+
+def test_support_never_returns_negative_zero():
+    assert repr(support((0.0, 0.0), point_union([(-1.0, -1.0)]))) == "0.0"
+    assert repr(support((0.0, 0.0), union_of([ball_cell((-1.0, -2.0), 0.0)]))) == "0.0"
+
+
+def test_directions_after_the_first_separating_one_are_never_checked():
+    u = point_union([(0.0, 0.0)])
+    v = hull_membership_via_support((1.0, 0.0), u, [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (2.0, 0.0)])
+    assert v == MembershipVerdict(inside=False, witness=(1.0, 0.0))
+
+
+def test_zero_direction_before_the_separating_one_raises():
+    u = point_union([(0.0, 0.0)])
+    with pytest.raises(ValueError, match="nonzero"):
+        hull_membership_via_support((1.0, 0.0), u, [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
