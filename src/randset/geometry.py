@@ -8,8 +8,12 @@ experiments produce: intervals, point lattices, balls, rays, translated rays,
 and sectors.
 
 All types are immutable values; every operation is a pure function, so sharing
-across worker processes is safe. Canonical forms (deduplicated vertices,
-extreme rays, sorted cells) make structural equality meaningful.
+across worker processes is safe. Cells are built in canonical form (extreme
+vertices, unit extreme rays, no -0.0), and that form is a fixed point: a cell
+rebuilt from its own fields by `poly_cell` or `ball_cell` is equal to it bit
+for bit, so structural equality is the cell's identity. `union_of` keeps one
+cell per value and orders cells by a numeric key; `_cell_line` is
+serialization only, and `format_set_union` sorts its lines.
 """
 
 from __future__ import annotations
@@ -151,7 +155,9 @@ class Cone:
             n = vnorm(g)
             if n <= DEDUP_TOL:
                 raise ValueError("cone generator must be nonzero")
-            units.append(vscale(1.0 / n, g))
+            # one division leaves the norm within 1.5 ulp of 1; dividing again
+            # would move last bits, so a canonical cone is a fixed point
+            units.append(g if abs(n - 1.0) <= 1e-15 else vscale(1.0 / n, g))
         units = _dedup_points(units)
         if not units:
             return Cone(dim=dim)
@@ -199,14 +205,14 @@ def _canon_cone_2d(units) -> Cone:
     if gap >= math.pi - ang_tol:
         # generators fill a closed half-plane: either a line or a half-plane
         u = ordered[(widest + 1) % len(ordered)]
-        if len(ordered) == 2:
-            return Cone(dim=2, generators=tuple(sorted((u, as_vector(vscale(-1.0, u))))))
+        line = (u, as_vector(vscale(-1.0, u)))
+        interior = [g for g in ordered if abs(_cross2(u, g)) > ang_tol]
+        if len(ordered) == 2 or not interior:  # every generator lies on the line
+            return Cone(dim=2, generators=tuple(sorted(line)))
         n = (-u[1], u[0])
-        interior = next(g for g in ordered if abs(_cross2(u, g)) > ang_tol)
-        if vdot(n, interior) < 0:
+        if vdot(n, interior[0]) < 0:
             n = (u[1], -u[0])
-        gens = sorted((u, as_vector(vscale(-1.0, u)), as_vector(n)))
-        return Cone(dim=2, generators=tuple(gens))
+        return Cone(dim=2, generators=tuple(sorted(line + (as_vector(n),))))
     return Cone(dim=2, full_space=True)
 
 
@@ -242,21 +248,7 @@ def cone_contains(cone: Cone, v, tol: float = 1e-9) -> bool:
         a = _cross2(v, g2) / det
         b = _cross2(g1, v) / det
         return a >= -tol and b >= -tol
-    return _cone_contains_lp(cone, v, tol)
-
-
-def _cone_contains_lp(cone: Cone, v, tol: float) -> bool:
-    from scipy.optimize import linprog
-
-    gens = np.array(cone.generators, dtype=float).T
-    res = linprog(
-        c=np.zeros(gens.shape[1]),
-        A_eq=gens,
-        b_eq=np.array(v, dtype=float),
-        bounds=[(0, None)] * gens.shape[1],
-        method="highs",
-    )
-    return res.status == 0
+    return _in_hull_lp(v, [(0.0, 0.0, 0.0)], cone.generators)
 
 
 def cone_is_subset(inner: Cone, outer: Cone) -> bool:
@@ -390,11 +382,15 @@ def _drop_absorbed(vertices, generators):
 
 def poly_cell(vertices, cone_generators=(), dim: int | None = None, full_space: bool = False) -> ConvexCell:
     verts = [as_vector(v, dim) for v in vertices]
-    d = len(verts[0])
-    cone = Cone.from_generators(d, cone_generators, full_space=full_space)
+    return _poly_cell(verts, Cone.from_generators(len(verts[0]), cone_generators, full_space=full_space))
+
+
+def _poly_cell(vertices, cone: Cone) -> ConvexCell:
+    """The canonical cell hull(vertices) + cone, for a cone already canonical."""
+    d = cone.dim
     if cone.full_space:  # the whole space: one canonical base, the origin
         return ConvexCell(base=Polytope(vertices=(tuple(0.0 for _ in range(d)),)), cone=cone)
-    ext = extreme_points(verts, d)
+    ext = extreme_points(vertices, d)
     if len(ext) > 1 and not cone.is_trivial:
         ext = _drop_absorbed(ext, cone.generators)
     ext = extreme_points(ext, d) if len(ext) > 1 else ext
@@ -403,10 +399,17 @@ def poly_cell(vertices, cone_generators=(), dim: int | None = None, full_space: 
 
 def ball_cell(center, radius: float, cone_generators=()) -> ConvexCell:
     c = as_vector(center)
-    if radius < 0:
-        raise ValueError("ball radius must be nonnegative")
-    cone = Cone.from_generators(len(c), cone_generators)
-    return ConvexCell(base=Ball(center=c, radius=float(radius)), cone=cone)
+    radius = float(radius)
+    if not math.isfinite(radius) or radius < 0:
+        raise ValueError(f"ball radius must be finite and nonnegative, got {radius}")
+    return _ball_cell(c, abs(radius), Cone.from_generators(len(c), cone_generators))  # abs: -0.0 -> 0.0
+
+
+def _ball_cell(center, radius: float, cone: Cone) -> ConvexCell:
+    """The canonical cell ball(center, radius) + cone, for a cone already canonical."""
+    if cone.full_space:  # the whole space has one canonical form, a polytope cell's
+        return _poly_cell([center], cone)
+    return ConvexCell(base=Ball(center=center, radius=radius), cone=cone)
 
 
 def point_cell(p) -> ConvexCell:
@@ -452,12 +455,14 @@ def union_of(cells) -> SetUnion:
     d = cells[0].dim
     if any(c.dim != d for c in cells):
         raise ValueError("mixed dimensions in one union")
-    uniq: dict[str, ConvexCell] = {}
-    for c in cells:
-        key = _cell_line(c)
-        uniq.setdefault(key, c)
-    ordered = [uniq[k] for k in sorted(uniq)]
-    return SetUnion(cells=tuple(ordered))
+    return SetUnion(cells=tuple(sorted(set(cells), key=_cell_key)))
+
+
+def _cell_key(cell: ConvexCell):
+    """Numeric sort key, distinct for distinct cells: balls, then polytopes."""
+    b = cell.base
+    base = (0, (b.center,), b.radius) if isinstance(b, Ball) else (1, b.vertices, 0.0)
+    return base + (cell.cone.full_space, cell.cone.generators)
 
 
 def point_union(points) -> SetUnion:
@@ -489,7 +494,7 @@ def _cell_line(cell: ConvexCell) -> str:
 
 
 def format_set_union(u: SetUnion) -> str:
-    return "\n".join(_cell_line(c) for c in u.cells) + "\n"
+    return "\n".join(sorted(_cell_line(c) for c in u.cells)) + "\n"
 
 
 def _parse_vec(text: str):
@@ -533,19 +538,12 @@ def _cell_sum(a: ConvexCell, b: ConvexCell) -> ConvexCell:
     cone = a.cone.merge(b.cone)
     pa, pb = isinstance(a.base, Polytope), isinstance(b.base, Polytope)
     if pa and pb:
-        sums = [vadd(u, v) for u in a.base.vertices for v in b.base.vertices]
-        return poly_cell(sums, cone_generators=cone.generators, full_space=cone.full_space)
+        return _poly_cell([vadd(u, v) for u in a.base.vertices for v in b.base.vertices], cone)
     if not pa and not pb:
-        return ConvexCell(
-            base=Ball(center=vadd(a.base.center, b.base.center), radius=a.base.radius + b.base.radius),
-            cone=cone,
-        )
+        return _ball_cell(vadd(a.base.center, b.base.center), a.base.radius + b.base.radius, cone)
     ball, poly = (a, b) if pb else (b, a)
     if len(poly.base.vertices) == 1:
-        return ConvexCell(
-            base=Ball(center=vadd(ball.base.center, poly.base.vertices[0]), radius=ball.base.radius),
-            cone=cone,
-        )
+        return _ball_cell(vadd(ball.base.center, poly.base.vertices[0]), ball.base.radius, cone)
     raise UnsupportedCellCombination("polytope base (+) ball base is not supported")
 
 
@@ -584,7 +582,7 @@ def convex_hull(a: SetUnion) -> ConvexCell:
     cone = Cone.trivial(a.dim)
     for c in a.cells:
         cone = cone.merge(c.cone)
-    return poly_cell(verts, cone_generators=cone.generators, full_space=cone.full_space, dim=a.dim)
+    return _poly_cell(verts, cone)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +663,7 @@ def hull_membership_via_support(x, a: SetUnion, directions) -> MembershipVerdict
     zero, out-of-ball or malformed direction raises only when no earlier
     direction separates.
     """
-    if not directions:
+    if len(directions) == 0:  # a truth test is ambiguous for an (m, d) array
         raise ValueError("directions must be nonempty")
     x = as_vector(x, a.dim)
     rows, error = [], None

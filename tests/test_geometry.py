@@ -98,6 +98,19 @@ def test_polytope_plus_ball_rejected():
         minkowski_sum(u_interval(0, 1), union_of([ball_cell((0.0,), 1.0)]))
 
 
+def test_sums_and_hulls_with_one_pointed_operand_reuse_its_cone(monkeypatch):
+    rays = union_of([ray_cell((0, 0), (1, 0)), ray_cell((1, 1), (0.6, 0.8))])
+    points = point_union([(0.5, 0.0), (2.0, 1.0)])
+    ray_and_point = union_of([ray_cell((0, 0), (0.6, 0.8)), point_cell((3.0, 1.0))])
+    expected = minkowski_sum(rays, points), convex_hull(ray_and_point)
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("a canonical cone was derived again")
+
+    monkeypatch.setattr(Cone, "from_generators", staticmethod(rebuild))
+    assert (minkowski_sum(rays, points), convex_hull(ray_and_point)) == expected
+
+
 def test_cell_budget():
     pts = point_union([(float(i), 0.0) for i in range(40)])
     with pytest.raises(CellBudgetExceeded):
@@ -180,6 +193,14 @@ def test_membership_rational_combination():
     assert v.inside
 
 
+def test_membership_takes_an_array_of_directions():
+    u, dirs = u_ray((1, 0)), spread_directions(16, 2)
+    for x, inside in (((0.0, 1.0), False), ((2.0, 0.0), True)):
+        verdict = hull_membership_via_support(x, u, np.array(dirs))
+        assert verdict == hull_membership_via_support(x, u, dirs)  # the same witness too
+        assert verdict.inside is inside
+
+
 # ---------------------------------------------------------------------------
 # support functions
 
@@ -206,6 +227,25 @@ def test_support_full_space_cone():
     c = union_of([poly_cell([(0.0, 0.0)], cone_generators=[(1, 0), (-1, 0.5), (0, -1)])])
     assert c.cells[0].cone.full_space
     assert support((0.0, 1.0), c) == math.inf
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_ball_radius_must_be_finite_and_nonnegative(radius):
+    with pytest.raises(ValueError, match="radius"):
+        ball_cell((0.0, 0.0), radius)
+
+
+def test_ball_radius_negative_zero_is_stored_as_zero():
+    b = ball_cell((0.0, 0.0), -0.0)
+    assert repr(b.base.radius) == "0.0"
+    assert format_set_union(union_of([b])) == "CELL ball c=(0,0) r=0\n"
+
+
+def test_ball_plus_full_space_cone_is_the_full_space_cell():
+    full = ball_cell((3.0, 1.0), 2.0, cone_generators=[(1, 0), (-1, 0.5), (0, -1)])
+    assert full == poly_cell([(0.0, 0.0)], full_space=True)
+    u = union_of([full])
+    assert parse_set_union(format_set_union(u)) == u
 
 
 def test_full_space_cells_share_one_canonical_base():
@@ -447,6 +487,21 @@ def test_line_and_halfplane_membership():
     half = Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1)])
     assert len(half.generators) == 3
     assert cone_contains(half, (0.5, 2.0)) and not cone_contains(half, (0, -1))
+
+
+def test_generators_all_on_a_line_give_the_line():
+    nearly_x = (math.cos(1e-10), math.sin(1e-10))
+    assert Cone.from_generators(2, [(1, 0), (-1, 0), nearly_x]) == Cone.from_generators(2, [(1, 0), (-1, 0)])
+
+
+@pytest.mark.parametrize(
+    "v, inside",
+    [((1.0, 1.0, 1.0), True), ((2.0, 0.0, 3.0), True), ((-1.0, 0.5, 0.5), False), ((0.0, 0.0, -1.0), False)],
+    ids=["interior", "on_a_face", "outside", "below"],
+)
+def test_cone_contains_3d(v, inside):
+    octant = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert cone_contains(octant, v) is inside
 
 
 def test_d1_cone_forms():

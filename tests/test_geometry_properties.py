@@ -17,10 +17,12 @@ from randset.geometry import (
     ball_cell,
     convex_hull,
     dual_direction,
+    format_set_union,
     hausdorff,
     hausdorff_via_support,
     hull_membership_via_support,
     minkowski_sum,
+    parse_set_union,
     point_cell,
     point_union,
     poly_cell,
@@ -246,3 +248,45 @@ def test_zero_direction_before_the_separating_one_raises():
     u = point_union([(0.0, 0.0)])
     with pytest.raises(ValueError, match="nonzero"):
         hull_membership_via_support((1.0, 0.0), u, [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# Canonical forms are fixed points. Arbitrary floats again: a generator that
+# is a unit vector up to its last bits must not be divided by its norm twice.
+
+
+@st.composite
+def unit_or_any(draw, dim):
+    if dim == 2 and draw(st.booleans()):
+        t = draw(st.floats(-math.pi, math.pi))
+        return (math.cos(t), math.sin(t))
+    g = draw(st.tuples(*[real] * dim).filter(lambda g: math.hypot(*g) > 1e-3))
+    return tuple(c / math.hypot(*g) for c in g) if draw(st.booleans()) else g
+
+
+@st.composite
+def canonical_cell(draw):
+    dim = draw(st.integers(1, 3))
+    g, h = draw(unit_or_any(dim)), draw(unit_or_any(dim))
+    minus = tuple(-c for c in g)
+    cones = {"none": [], "ray": [g], "sector": [g, h], "line": [g, minus], "half_plane": [g, minus, h]}
+    gens = cones[draw(st.sampled_from(sorted(cones)))]
+    if draw(st.booleans()):
+        return ball_cell(draw(st.tuples(*[real] * dim)), draw(st.floats(0.0, 4.0)), gens)
+    return poly_cell(draw(st.lists(st.tuples(*[real] * dim), min_size=1, max_size=4)), gens)
+
+
+def rebuild(cell):
+    if isinstance(cell.base, Polytope):
+        return poly_cell(cell.base.vertices, cell.cone.generators, full_space=cell.cone.full_space)
+    return ball_cell(cell.base.center, cell.base.radius, cell.cone.generators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_cell())
+def test_canonical_cell_is_a_fixed_point(cell):
+    again = rebuild(cell)
+    assert repr(again) == repr(cell)
+    u = union_of([cell])
+    assert parse_set_union(format_set_union(u)) == u
+    assert len(union_of([cell, again]).cells) == 1

@@ -1,10 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses, and
+no private module-level name goes unread.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library. An import made inside a function
 counts as used only when that function uses the name; a module-level import
 counts as used anywhere in the module. `__init__.py` is skipped, because its
-imports are the package's exports.
+imports are the package's exports. A private function, class or constant
+defined at module level counts as read when any module of the package loads
+it, by name or as an attribute.
 """
 
 import ast
@@ -14,7 +17,8 @@ import pytest
 
 import randset
 
-MODULES = sorted(p for p in Path(randset.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(randset.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imports_and_functions(scope):
@@ -64,3 +68,41 @@ def test_checker_scopes_function_imports_to_their_function():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree):
+    """(line, name) of each private function, class or constant defined at top level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each private module-level name no module reads."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted((m, *d) for m, tree in trees.items() for d in _private_definitions(tree) if d[1] not in read)
+
+
+def test_private_name_checker_finds_unread_definitions():
+    a = "def _f():\n    pass\n\nclass _C:\n    pass\n\n_K = 1\n_T: int = 2\n\ndef g():\n    return _K\n"
+    b = "import a\n\na._T\n"
+    assert unread_private_names({"a.py": a, "b.py": b}) == [("a.py", 1, "_f"), ("a.py", 4, "_C")]
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []
