@@ -156,8 +156,9 @@ class Cone:
             if n <= DEDUP_TOL:
                 raise ValueError("cone generator must be nonzero")
             # one division leaves the norm within 1.5 ulp of 1; dividing again
-            # would move last bits, so a canonical cone is a fixed point
-            units.append(g if abs(n - 1.0) <= 1e-15 else vscale(1.0 / n, g))
+            # would move last bits, so a canonical cone is a fixed point.
+            # as_vector again: a subnormal coordinate can underflow to -0.0
+            units.append(g if abs(n - 1.0) <= 1e-15 else as_vector(vscale(1.0 / n, g)))
         units = _dedup_points(units)
         if not units:
             return Cone(dim=dim)

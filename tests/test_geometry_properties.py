@@ -8,7 +8,7 @@ identities themselves are asserted at 1e-9 as contracted.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randset.geometry import (
     MembershipVerdict,
@@ -284,6 +284,8 @@ def rebuild(cell):
 
 @settings(max_examples=300, deadline=None)
 @given(canonical_cell())
+@example(poly_cell([(0.0, 0.0, 0.0)], [(0.0, 0.0, 1.0), (0.0, 2.0, -5e-324)]))  # underflows to -0.0
+@example(ball_cell((0.0, 0.0), 1.0, [(2.0, -5e-324)]))
 def test_canonical_cell_is_a_fixed_point(cell):
     again = rebuild(cell)
     assert repr(again) == repr(cell)
