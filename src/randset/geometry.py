@@ -398,12 +398,13 @@ def _poly_cell(vertices, cone: Cone) -> ConvexCell:
     return ConvexCell(base=Polytope(vertices=tuple(ext)), cone=cone)
 
 
-def ball_cell(center, radius: float, cone_generators=()) -> ConvexCell:
+def ball_cell(center, radius: float, cone_generators=(), full_space: bool = False) -> ConvexCell:
     c = as_vector(center)
     radius = float(radius)
     if not math.isfinite(radius) or radius < 0:
         raise ValueError(f"ball radius must be finite and nonnegative, got {radius}")
-    return _ball_cell(c, abs(radius), Cone.from_generators(len(c), cone_generators))  # abs: -0.0 -> 0.0
+    cone = Cone.from_generators(len(c), cone_generators, full_space=full_space)
+    return _ball_cell(c, abs(radius), cone)  # abs: -0.0 -> 0.0
 
 
 def _ball_cell(center, radius: float, cone: Cone) -> ConvexCell:
@@ -525,7 +526,7 @@ def parse_set_union(text: str) -> SetUnion:
         elif body.startswith("ball c="):
             rest = body[len("ball c=") :]
             cpart, rpart = rest.split(" r=")
-            cells.append(ball_cell(_parse_vec(cpart), float(rpart), cone_gens))
+            cells.append(ball_cell(_parse_vec(cpart), float(rpart), cone_gens, full_space=full))
         else:
             raise ValueError(f"bad cell line: {raw!r}")
     return union_of(cells)

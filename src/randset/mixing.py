@@ -6,10 +6,17 @@ bit regardless of scheduling. Dependence coefficients come in two flavors:
 exact values for finite-state stationary Markov chains (total-variation
 reduction) and brute-force lower bounds from direct event enumeration. Drivers
 built from independent draws get exact zeros.
+
+A finite Markov chain steps state to state; its path is scanned forward from
+the nearest state kept at a multiple of _STRIDE, so no draw replays the path
+from index 1. The symmetric two-state chain keeps its own coupling (flip iff
+u < p) rather than the general step searchsorted(cum[state], u), so that its
+sample paths stay as they are until one change re-pins the outputs it drives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -20,6 +27,8 @@ from scipy.special import ndtri
 from .rng import STREAM_DRIVER, STREAM_DRIVER_INIT, uniform_block
 
 _BLOCK = 1 << 16
+_STRIDE = 1 << 10  # a Markov chain's state is kept at every multiple of this index
+_KEPT_CHAINS = 64  # (chain, seed) pairs whose kept states stay in memory
 
 
 class MixingError(Exception):
@@ -237,39 +246,83 @@ def _draw_block(driver: ScalarDriver, seed: int, start: int, count: int) -> np.n
         for i in range(1, m + 1):
             acc += base[i : i + count]
         return acc / (m + 1)
-    return _draw_markov_block(driver, seed, start, count)
+    return np.asarray(driver.emissions, dtype=float)[_markov_states(driver, seed, start, count)]
 
 
-def _markov_states(driver: ScalarDriver, seed: int, n: int) -> np.ndarray:
-    """States for 1-based indices 1..n; needs the whole prefix."""
-    P = np.asarray(driver.transition, dtype=float)
-    pi = np.asarray(driver.stationary, dtype=float)
-    u0 = uniform_block(seed, STREAM_DRIVER_INIT, 0, 1)[0]
-    s0 = int(np.searchsorted(np.cumsum(pi), u0, side="right").clip(0, len(pi) - 1))
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    u = uniform_block(seed, STREAM_DRIVER, 0, n - 1) if n > 1 else np.empty(0)
-    s = P.shape[0]
-    if s == 2 and abs(P[0, 1] - P[1, 0]) <= 1e-15:
-        # symmetric two-state chain: transitions are iid flips, so the state
-        # path is s0 xor a running parity and vectorizes exactly
-        flips = (u < P[0, 1]).astype(np.int64)
-        parity = np.concatenate([[0], np.cumsum(flips) & 1])
-        return s0 ^ parity
-    cum = np.cumsum(P, axis=1)
-    states = np.empty(n, dtype=np.int64)
-    states[0] = s0
-    cur = s0
-    for k in range(1, n):
-        cur = int(np.searchsorted(cum[cur], u[k - 1], side="right").clip(0, s - 1))
-        states[k] = cur
-    return states
+class _KeptChain:
+    """One chain's step rule and, for one seed, its states kept at every
+    multiple of _STRIDE (kept[k] is the state at 0-based index k * _STRIDE)."""
+
+    __slots__ = ("cum", "flip", "kept")
+
+    def __init__(self, transition, stationary, seed: int):
+        P = np.asarray(transition, dtype=float)
+        pi = np.asarray(stationary, dtype=float)
+        u0 = uniform_block(seed, STREAM_DRIVER_INIT, 0, 1)[0]
+        self.kept = [int(np.searchsorted(np.cumsum(pi), u0, side="right").clip(0, len(pi) - 1))]
+        self.cum = np.cumsum(P, axis=1)
+        # symmetric two-state chain: its own coupling, a flip iff u < p
+        self.flip = P[0, 1] if P.shape[0] == 2 and abs(P[0, 1] - P[1, 0]) <= 1e-15 else None
+
+    def walk(self, x: int, u: np.ndarray) -> np.ndarray:
+        """States x, x_1, .., x_m after the steps driven by u_1..u_m."""
+        if self.flip is not None:
+            return np.concatenate([[x], x ^ (np.cumsum(u < self.flip) & 1)])
+        # Blocked scan over the step maps f_k(i) = searchsorted(cum[i], u_k):
+        # walk every start state through all chunks of L steps at once, then
+        # chain the chunk ends from x. L Python steps plus m / L list steps.
+        s, m, x0 = self.cum.shape[0], len(u), x
+        L = max(1, math.isqrt(m >> 5))
+        nc = -(-m // L)
+        maps = np.empty((nc * L, s), dtype=np.intp)
+        for i in range(s):
+            maps[:m, i] = np.searchsorted(self.cum[i], u, side="right")
+        maps[m:] = np.arange(s)  # identity steps pad the last chunk
+        np.minimum(maps, s - 1, out=maps)
+        maps = maps.reshape(nc, L, s)
+        rows = np.arange(nc)[:, None]
+        paths = np.empty((L, nc, s), dtype=np.intp)
+        cur = np.broadcast_to(np.arange(s), (nc, s))
+        for t in range(L):
+            cur = paths[t] = maps[rows, t, cur]
+        starts = []
+        for ends in cur.tolist():
+            starts.append(x)
+            x = ends[x]
+        states = paths[:, np.arange(nc), starts].T.reshape(-1)[:m]
+        return np.concatenate([[x0], states])
 
 
-def _draw_markov_block(driver: ScalarDriver, seed: int, start: int, count: int) -> np.ndarray:
-    states = _markov_states(driver, seed, start + count)
-    emissions = np.asarray(driver.emissions, dtype=float)
-    return emissions[states[start : start + count]]
+@functools.lru_cache(maxsize=_KEPT_CHAINS)
+def _kept_chain(transition, stationary, seed: int) -> _KeptChain:
+    return _KeptChain(transition, stationary, seed)
+
+
+def _markov_states(driver: ScalarDriver, seed: int, start: int, count: int) -> np.ndarray:
+    """States at 0-based indices start .. start+count-1, scanned forward from
+    the kept state at or below start; every multiple of _STRIDE the scan
+    passes is kept for later calls."""
+    chain = _kept_chain(driver.transition, driver.stationary, seed)
+    kept = chain.kept
+    k = min(start // _STRIDE, len(kept) - 1)
+    pos, x = k * _STRIDE, kept[k]
+    end = start + count
+    out = np.empty(count, dtype=np.int64)
+    while True:
+        steps = min(_BLOCK, end - 1 - pos)
+        path = chain.walk(x, uniform_block(seed, STREAM_DRIVER, pos, steps)) if steps else np.array([x])
+        lo = max(start, pos)  # path holds the states at pos .. pos + steps
+        if lo <= pos + steps:
+            out[lo - start : pos + steps + 1 - start] = path[lo - pos :]
+        k = len(kept)
+        if k * _STRIDE <= pos + steps:
+            # assign a slice, not append: two scans of one stretch (threads)
+            # then write the same values to the same places
+            new = path[k * _STRIDE - pos :: _STRIDE].tolist()
+            kept[k : k + len(new)] = new
+        if pos + steps == end - 1:
+            return out
+        pos, x = pos + steps, int(path[-1])
 
 
 def draw_sequence(driver: ScalarDriver, n: int, seed: int | None = None) -> np.ndarray:
@@ -281,8 +334,9 @@ def draw_sequence(driver: ScalarDriver, n: int, seed: int | None = None) -> np.n
 
 
 def draw_at(driver: ScalarDriver, index: int, seed: int | None = None) -> float:
-    """The draw at a 1-based index. O(1) except for Markov drivers, which
-    replay the state path prefix."""
+    """The draw at a 1-based index. O(1) except for Markov drivers, which scan
+    forward from the nearest kept state at or below the index: fewer than
+    _STRIDE steps within the reach of earlier draws of this (chain, seed)."""
     if index < 1:
         raise ValueError("index is 1-based")
     seed = driver.seed if seed is None else seed
@@ -499,7 +553,9 @@ def checkpoint_means(driver: ScalarDriver, n_max: int, checkpoints, seed: int | 
     """Running means m_n at the checkpoints, in one compensated streaming pass.
 
     Draws are generated in blocks and reduced with math.fsum, so memory stays
-    at O(checkpoints + one block) regardless of n_max.
+    at O(checkpoints + one block), plus for a Markov driver its kept states:
+    O(n_max / _STRIDE) ints per (chain, seed), for at most _KEPT_CHAINS
+    (chain, seed) pairs at a time.
     """
     checkpoints = [int(c) for c in checkpoints]
     if any(c < 1 or c > n_max for c in checkpoints) or checkpoints != sorted(checkpoints):
@@ -511,7 +567,8 @@ def checkpoint_means(driver: ScalarDriver, n_max: int, checkpoints, seed: int | 
     for cp in checkpoints:
         while done < cp:
             count = min(_BLOCK, cp - done)
-            partials.append(math.fsum(_draw_block(driver, seed, done, count)))
+            # a memoryview hands fsum plain floats, faster than numpy scalars
+            partials.append(math.fsum(memoryview(_draw_block(driver, seed, done, count))))
             done += count
         means.append(math.fsum(partials) / done)
     return means

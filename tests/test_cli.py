@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from randset import cli
+from randset import cli, mixing
 from randset.cli import (
     ConfigInvalid,
     SchemaMismatch,
@@ -20,6 +20,7 @@ from randset.cli import (
     parse_config,
     run_config,
 )
+from randset.mixing import draw_at
 
 
 def minimal_cfg(**over):
@@ -166,12 +167,22 @@ def test_seed_override_env(tmp_path, monkeypatch):
 
 
 def test_threads_flag_matches_serial(tmp_path):
-    cfg = parse_config(minimal_cfg(seeds=[1, 2, 3, 4]))
-    run_config(cfg, tmp_path / "serial", threads=1)
-    run_config(cfg, tmp_path / "parallel", threads=2)
-    assert (tmp_path / "serial" / "trajectory.csv").read_bytes() == (
-        tmp_path / "parallel" / "trajectory.csv"
-    ).read_bytes()
+    asym = {"family": "finite_markov", "transition": [[0.9, 0.1], [0.3, 0.7]],
+            "stationary": [0.75, 0.25], "emissions": [-1.0, 3.0]}
+    markov = {"driver": asym, "n_max": 5000, "checkpoints": [10, 3000, 5000]}
+    for name, over in (("iid", {}), ("markov", markov)):
+        cfg = parse_config(minimal_cfg(seeds=[1, 2, 3, 4], **over))
+        mixing._kept_chain.cache_clear()
+        if over:
+            # forked workers inherit kept chain states for seeds 1 and 3 only
+            for seed in (1, 3):
+                draw_at(cfg.driver, 2500, seed)
+        run_config(cfg, tmp_path / name / "parallel", threads=2)
+        mixing._kept_chain.cache_clear()
+        run_config(cfg, tmp_path / name / "serial", threads=1)
+        assert (tmp_path / name / "serial" / "trajectory.csv").read_bytes() == (
+            tmp_path / name / "parallel" / "trajectory.csv"
+        ).read_bytes()
 
 
 def test_threads_clamped_to_seeds_and_cpus(tmp_path, monkeypatch):

@@ -246,6 +246,8 @@ def test_ball_plus_full_space_cone_is_the_full_space_cell():
     assert full == poly_cell([(0.0, 0.0)], full_space=True)
     u = union_of([full])
     assert parse_set_union(format_set_union(u)) == u
+    # a hand-written ball line with a full cone is the same cell, not the ball
+    assert parse_set_union("CELL ball c=(0,0) r=1 cone full\n") == u
 
 
 def test_full_space_cells_share_one_canonical_base():

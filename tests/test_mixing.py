@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from randset import mixing
 from randset.mixing import (
     Law,
     NotStationary,
     PhiProfile,
     TooManyEvents,
     alternating_driver,
+    checkpoint_means,
     draw_at,
     draw_sequence,
     iid_driver,
@@ -21,6 +24,7 @@ from randset.mixing import (
     scalar_slln_trajectory,
     summability_report,
 )
+from randset.rng import STREAM_DRIVER, STREAM_DRIVER_INIT, uniform_block
 
 P_SYM = [[0.9, 0.1], [0.1, 0.9]]
 PI_SYM = [0.5, 0.5]
@@ -99,6 +103,145 @@ def test_general_markov_loop_path():
     xs = draw_sequence(d, 50_000)
     assert abs(xs.mean() - 1.0) < 0.02
     assert np.array_equal(xs[:100], draw_sequence(d, 100))
+
+
+# ---------------------------------------------------------------------------
+# Markov paths against the scalar loop
+
+
+def reference_states(driver, seed, n):
+    """The one-step-per-index loop the scan replaced, symmetric shortcut
+    included: states for 1-based indices 1..n, replayed from index 1."""
+    P = np.asarray(driver.transition, dtype=float)
+    pi = np.asarray(driver.stationary, dtype=float)
+    u0 = uniform_block(seed, STREAM_DRIVER_INIT, 0, 1)[0]
+    s0 = int(np.searchsorted(np.cumsum(pi), u0, side="right").clip(0, len(pi) - 1))
+    u = uniform_block(seed, STREAM_DRIVER, 0, n - 1) if n > 1 else np.empty(0)
+    s = P.shape[0]
+    if s == 2 and abs(P[0, 1] - P[1, 0]) <= 1e-15:
+        flips = (u < P[0, 1]).astype(np.int64)
+        parity = np.concatenate([[0], np.cumsum(flips) & 1])
+        return s0 ^ parity
+    cum = np.cumsum(P, axis=1)
+    states = np.empty(n, dtype=np.int64)
+    states[0] = s0
+    cur = s0
+    for k in range(1, n):
+        cur = int(np.searchsorted(cum[cur], u[k - 1], side="right").clip(0, s - 1))
+        states[k] = cur
+    return states
+
+
+def reference_checkpoint_means(draws, checkpoints):
+    """checkpoint_means' block partition and fsum reduction over given draws."""
+    partials, means, done = [], [], 0
+    for cp in checkpoints:
+        while done < cp:
+            count = min(mixing._BLOCK, cp - done)
+            partials.append(math.fsum(draws[done : done + count]))
+            done += count
+        means.append(math.fsum(partials) / done)
+    return means
+
+
+_S, _B = mixing._STRIDE, mixing._BLOCK
+# lengths and 1-based indices at and around the kept-state and block boundaries
+EDGES = sorted({1, 2, 3} | {b + d for b in (_S, 2 * _S, _B - _S, _B, _B + _S) for d in (-1, 0, 1)})
+N_REF = EDGES[-1] + 2
+
+
+@st.composite
+def chains(draw):
+    s = draw(st.integers(2, 4))
+    emissions = [1.5 * i - 1.0 for i in range(s)]
+    if s == 2 and draw(st.booleans()):
+        p = draw(st.floats(0.0, 1.0))
+        return markov_driver([[1.0 - p, p], [p, 1.0 - p]], [0.5, 0.5], emissions)
+    W = np.array(draw(st.lists(st.lists(st.integers(0, 9), min_size=s, max_size=s), min_size=s, max_size=s)))
+    P = (W + np.eye(s)) / (W + np.eye(s)).sum(axis=1, keepdims=True)
+    A = np.vstack([P.T - np.eye(s), np.ones(s)])
+    pi = np.linalg.lstsq(A, np.r_[np.zeros(s), 1.0], rcond=None)[0]
+    return markov_driver(P, pi, emissions)
+
+
+def reference_draws(driver, seed, n=N_REF):
+    return np.asarray(driver.emissions)[reference_states(driver, seed, n)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=chains(), seed=st.integers(0, 2**32))
+def test_markov_draw_sequence_matches_loop(d, seed):
+    mixing._kept_chain.cache_clear()
+    ref = reference_draws(d, seed)
+    for n in EDGES:
+        assert np.array_equal(draw_sequence(d, n, seed), ref[:n])
+    mixing._kept_chain.cache_clear()
+    for n in reversed(EDGES):
+        assert np.array_equal(draw_sequence(d, n, seed), ref[:n])
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=chains(), other=chains(), seed=st.integers(0, 2**32), data=st.data())
+def test_markov_draw_at_in_any_order_matches_loop(d, other, seed, data):
+    mixing._kept_chain.cache_clear()
+    # the same chain at another seed, and another chain at this seed, beside
+    # (d, seed) in the cache: a cache keyed on less than (chain, seed) fails
+    refs = {(d, seed + 1): reference_draws(d, seed + 1, 3 * _S + 2),
+            (other, seed): reference_draws(other, seed, 3 * _S + 2),
+            (d, seed): reference_draws(d, seed)}  # last: other may equal d
+    calls = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        key = data.draw(st.sampled_from(sorted(refs, key=repr)))
+        n = len(refs[key])
+        calls.append((key, data.draw(st.sampled_from([e for e in EDGES if e <= n]) | st.integers(1, n))))
+    for (drv, sd), i in calls:
+        assert draw_at(drv, i, sd) == refs[drv, sd][i - 1]
+    assert np.array_equal(draw_sequence(d, N_REF, seed), refs[d, seed])
+    for (drv, sd), i in reversed(calls):
+        assert draw_at(drv, i, sd) == refs[drv, sd][i - 1]
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=chains(), seed=st.integers(0, 2**32), cps=st.lists(st.sampled_from(EDGES), min_size=1, max_size=5))
+def test_markov_checkpoint_means_match_loop(d, seed, cps):
+    mixing._kept_chain.cache_clear()
+    cps = sorted(set(cps))
+    want = reference_checkpoint_means(reference_draws(d, seed), cps)
+    assert checkpoint_means(d, cps[-1], cps, seed) == want
+    assert checkpoint_means(d, cps[-1], cps, seed) == want  # from kept states
+
+
+def count_driver_draws(monkeypatch):
+    counted = [0]
+
+    def counting(seed, stream, start, count):
+        if stream == STREAM_DRIVER:
+            counted[0] += count
+        return uniform_block(seed, stream, start, count)
+
+    monkeypatch.setattr(mixing, "uniform_block", counting)
+    return counted
+
+
+ASYM = markov_driver([[0.9, 0.1], [0.3, 0.7]], [0.75, 0.25], [-1.0, 3.0])
+
+
+def test_checkpoint_means_draws_each_index_about_once(monkeypatch):
+    mixing._kept_chain.cache_clear()
+    counted = count_driver_draws(monkeypatch)
+    n = 200_000
+    checkpoint_means(ASYM, n, [100, 1000, 10_000, 100_000, n], 17)
+    # replaying the path from index 1 for every block drew about 2.76 n
+    assert counted[0] < 1.25 * n
+
+
+def test_repeated_draw_at_scans_at_most_one_stride(monkeypatch):
+    mixing._kept_chain.cache_clear()
+    counted = count_driver_draws(monkeypatch)
+    first = draw_at(ASYM, 500_000, 19)
+    counted[0] = 0
+    assert draw_at(ASYM, 500_000, 19) == first
+    assert counted[0] <= mixing._STRIDE
 
 
 # ---------------------------------------------------------------------------
