@@ -7,6 +7,10 @@ Usage:
 A config fully determines every output byte. Exit codes: 0 when the computed
 verdict matches the config's optional "expect" field (or no expectation was
 set), 1 on a verdict mismatch, 2 on an invalid config or malformed plot input.
+Every schema or precondition failure of a config exits 2, before anything is
+drawn, with a "ConfigInvalid: <key>: <problem>" line per problem. The schema
+tables below (_CONFIG_KEYS and _EXPERIMENTS, with the driver, law and
+tolerance keys) are the reference for which keys each experiment takes.
 The environment variable RANDSET_SEED_OVERRIDE (an integer) replaces all
 configured seeds, for fuzzing runs.
 """
@@ -19,23 +23,27 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from importlib import resources
 from pathlib import Path
 
 from .experiments import (
+    ProbeOutsideD,
     Trajectory,
     cone_tracking,
     exact_cell_expansion,
     halo_certificate,
+    km_probes,
     run_hausdorff_slln,
     run_km_diagnostics,
     slln_hypotheses_report,
     trajectory_csv,
 )
-from .geometry import format_set_union
+from .geometry import DEFAULT_CELL_BUDGET, dual_direction, format_set_union
 from .mixing import (
+    _BLOCK,
     Law,
+    MixingError,
     PhiProfile,
     ScalarDriver,
     alternating_driver,
@@ -45,7 +53,7 @@ from .mixing import (
     scalar_slln_trajectory,
     summability_report,
 )
-from .processes import SetProcessSpec
+from .processes import FAMILIES, ProcessError, SetProcessSpec, _require_target
 
 SEED_OVERRIDE_VAR = "RANDSET_SEED_OVERRIDE"
 
@@ -61,253 +69,238 @@ class SchemaMismatch(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config parsing (strict: unknown keys are rejected, all problems reported)
+# config schema: one row per key, all checked by one loop (_fields)
 
 
-_LAW_KEYS = {
-    "uniform": {"low", "high"},
-    "normal": {"mean", "sd"},
-    "constant": {"value"},
-    "choice": {"values", "weights"},
-}
-
-
-def _parse_law(obj, where: str, problems: list[str]) -> Law | None:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        problems.append(f"{where}: law needs a 'kind'")
-        return None
-    kind = obj["kind"]
-    if kind not in _LAW_KEYS:
-        problems.append(f"{where}.kind: unknown law {kind!r}")
-        return None
-    extra = set(obj) - _LAW_KEYS[kind] - {"kind"}
-    if extra:
-        problems.append(f"{where}: unknown keys {sorted(extra)}")
-        return None
-    for key in sorted(set(obj) - {"kind"}):
-        value = obj[key]
-        if key not in ("values", "weights"):
-            if not _is_number(value):
-                problems.append(f"{where}.{key}: must be a number, got {value!r}")
-                return None
-        elif not (isinstance(value, list) and all(map(_is_number, value)) or key == "weights" and value is None):
-            problems.append(f"{where}.{key}: must be a list of numbers, got {value!r}")
-            return None
-    try:
-        if kind == "uniform":
-            return Law.uniform(obj["low"], obj["high"])
-        if kind == "normal":
-            return Law.normal(obj["mean"], obj["sd"])
-        if kind == "constant":
-            return Law.constant(obj["value"])
-        return Law.choice(obj["values"], obj.get("weights"))
-    except (KeyError, ValueError, TypeError) as e:
-        problems.append(f"{where}: {e}")
-        return None
-
-
-_DRIVER_KEYS = {
-    "iid": {"law"},
-    "m_dependent": {"law", "m"},
-    "finite_markov": {"transition", "stationary", "emissions"},
-    "alternating": {"law_even", "law_odd"},
-}
-
-
-def _parse_driver(obj, where: str, problems: list[str]) -> ScalarDriver | None:
-    if not isinstance(obj, dict) or "family" not in obj:
-        problems.append(f"{where}: driver needs a 'family'")
-        return None
-    fam = obj["family"]
-    if fam not in _DRIVER_KEYS:
-        problems.append(f"{where}.family: unknown driver family {fam!r}")
-        return None
-    extra = set(obj) - _DRIVER_KEYS[fam] - {"family"}
-    if extra:
-        problems.append(f"{where}: unknown keys {sorted(extra)}")
-        return None
-    try:
-        if fam == "iid":
-            law = _parse_law(obj["law"], f"{where}.law", problems)
-            return iid_driver(law) if law else None
-        if fam == "m_dependent":
-            law = _parse_law(obj["law"], f"{where}.law", problems)
-            if not _is_int(obj["m"]):
-                problems.append(f"{where}.m: must be an integer, got {obj['m']!r}")
-                return None
-            return m_dependent_driver(obj["m"], law) if law else None
-        if fam == "finite_markov":
-            return markov_driver(obj["transition"], obj["stationary"], obj["emissions"])
-        le = _parse_law(obj["law_even"], f"{where}.law_even", problems)
-        lo = _parse_law(obj["law_odd"], f"{where}.law_odd", problems)
-        return alternating_driver(le, lo) if le and lo else None
-    except (KeyError, ValueError, TypeError) as e:
-        problems.append(f"{where}: {e}")
-        return None
-
-
-_COMMON_KEYS = {"experiment", "expect", "output_dir", "seeds", "tolerances"}
-_EXPERIMENT_KEYS = {
-    "hausdorff_slln": {"family", "driver", "target", "n_max", "checkpoints"},
-    "km_diagnostics": {"family", "driver", "probes", "window_radius", "n_max", "checkpoints"},
-    "cone_tracking": {"family", "driver", "n_max"},
-    "halo_certificate": {"family", "n_max"},
-    "phi_profile": {"driver", "n_terms"},
-    "conditions_report": {"family", "driver", "targets", "directions", "n_terms"},
-    "cell_expansion": {"family", "driver", "n_max"},
-    "scalar_slln": {"driver", "n_max", "checkpoints"},
-}
-EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
-_TOLERANCE_KEYS = {"final_value", "min_pass_count", "km_tolerance"}
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _vectors(obj: dict, key: str, problems: list[str]) -> tuple[tuple[float, ...], ...]:
-    vs = obj.get(key, [])
-    if not isinstance(vs, list) or not all(isinstance(v, list) and all(map(_is_number, v)) for v in vs):
-        problems.append(f"{key}: must be a list of coordinate lists")
-        return ()
-    return tuple(tuple(float(c) for c in v) for v in vs)
+_REQUIRED = object()  # the default of a key that must be given
+_NUMBER_LIMIT = 1e150  # squares and long sums of numbers this large stay finite
+# a needle_halo expansion S_n has 2^n cells: the largest n within the cell budget
+_HALO_N_MAX = DEFAULT_CELL_BUDGET.bit_length() - 1
+_CHECK_ERRORS = (ValueError, MixingError, ProcessError, ProbeOutsideD)  # raised by the library's checks
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    raw: dict  # canonical parsed form, used for round-trips
-    spec: SetProcessSpec | None
-    driver: ScalarDriver | None
-    seeds: tuple[int, ...]
-    n_max: int
-    checkpoints: tuple[int, ...]
-    target: str
-    probes: tuple[tuple[float, ...], ...]
-    window_radius: float
-    n_terms: int
-    targets: tuple[tuple[float, ...], ...]
-    directions: tuple[tuple[float, ...], ...]
-    tolerances: dict
-    expect: str | None
-    output_dir: str | None
+class _Key:
+    """A key of a config, driver, law or tolerances object: the experiments
+    (driver families, law kinds) taking it, the JSON value assumed when it is
+    absent, and convert(value, typed), which checks the value and returns the
+    typed one; it may read typed["experiment"] and typed[k] for k in needs."""
+
+    kinds: tuple
+    default: object
+    convert: object
+    needs: tuple = ()
+
+
+def _fields(obj, keys: dict, kind) -> tuple[dict, list[str]]:
+    """(typed values, problems) of a JSON object of the given kind, each
+    problem as "<key>: <what is wrong>". The one loop over a schema table; a
+    key is skipped when a key it needs has a problem, reported already."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"must be an object, got {obj!r}")
+    problems = [f"{k}: unknown key" for k in sorted(obj) if k not in keys or kind not in keys[k].kinds]
+    typed, failed = {}, set()
+    for name, key in keys.items():
+        if kind not in key.kinds:
+            continue
+        if not failed.intersection(key.needs):
+            try:
+                value = obj.get(name, key.default)
+                if value is _REQUIRED:
+                    raise ValueError("missing")
+                typed[name] = key.convert(value, typed)
+            except ConfigInvalid as e:  # from a law or driver object
+                problems += [f"{name}.{p}" for p in e.problems]
+            except _CHECK_ERRORS as e:
+                problems.append(f"{name}: {e}")
+        if name not in typed:
+            failed.add(name)
+    return typed, problems
+
+
+def _check(test, what: str):
+    """The conversion that keeps a JSON value passing test."""
+
+    def convert(v, typed=None):
+        if not test(v):
+            raise ValueError(f"must be {what}, got {v!r}")
+        return v
+
+    return convert
+
+
+def _number(lo=-_NUMBER_LIMIT, hi=_NUMBER_LIMIT, integer=False):
+    """The one number check: a JSON number (an integer if asked for), never a
+    boolean, in [lo, hi] and so finite."""
+
+    kinds = int if integer else (int, float)
+
+    def convert(v, typed=None):
+        if isinstance(v, kinds) and not isinstance(v, bool) and lo <= v <= hi:
+            return v if integer else float(v)
+        raise ValueError(f"must be {'an integer' if integer else 'a number'} in [{lo:g}, {hi:g}], got {v!r}")
+
+    return convert
+
+
+def _list(item, nonempty=False):
+    check = _check(lambda v: isinstance(v, list) and (v or not nonempty), "a nonempty list" if nonempty else "a list")
+    return lambda v, typed=None: tuple(map(item, check(v)))
+
+
+def _optional(convert):
+    return lambda v, typed=None: None if v is None else convert(v)
+
+
+def _object(kind_key: str, builders: dict, keys: dict):
+    """The conversion of a law or driver object: its kind_key entry picks the
+    builder, and the keys' rows check the builder's parameters."""
+
+    def convert(v, typed=None):
+        kind = v.get(kind_key) if isinstance(v, dict) else None
+        if kind not in tuple(builders):
+            raise ValueError(f"needs a {kind_key!r} among {tuple(builders)}, got {v!r}")
+        params, problems = _fields({k: x for k, x in v.items() if k != kind_key}, keys, kind)
+        if problems:
+            raise ConfigInvalid(problems)
+        return builders[kind](**params)
+
+    return convert
+
+
+def _driver(v, typed) -> ScalarDriver | None:
+    if v is None and _EXPERIMENTS[typed["experiment"]] is None:
+        raise ValueError(f"{typed['experiment']} needs a driver")
+    return None if v is None else _scalar_driver(v)
+
+
+def _family(v, typed) -> SetProcessSpec:
+    families = tuple(_EXPERIMENTS[typed["experiment"]])
+    _check(lambda v: v in families, f"a family that {typed['experiment']} takes, one of {families}")(v)
+    return SetProcessSpec(family=v, driver=typed.get("driver"))
+
+
+def _n_max(v, typed) -> int:
+    spec = typed.get("family")
+    return _number(*_EXPERIMENTS[typed["experiment"]][spec.family] if spec else _ANY_N, integer=True)(v)
+
+
+def _checkpoints(v, typed) -> tuple[int, ...]:
+    cps = _list(_number(1, typed["n_max"], integer=True), nonempty=True)(v)
+    return _check(lambda cps: list(cps) == sorted(cps), "sorted")(cps)
+
+
+def _tolerances(v, typed) -> dict:
+    tolerances, problems = _fields(v, _TOLERANCE_KEYS, typed["experiment"])
+    if problems:
+        raise ValueError("; ".join(problems))
+    return tolerances
+
+
+_numbers = _list(_number())
+_vectors = _list(_numbers)
+_optional_string = _optional(_check(lambda v: isinstance(v, str), "a string"))
+
+_LAWS = {"uniform": Law.uniform, "normal": Law.normal, "constant": Law.constant, "choice": Law.choice}
+_LAW_KEYS = {
+    "low": _Key(("uniform",), _REQUIRED, _number()),
+    "high": _Key(("uniform",), _REQUIRED, _number()),
+    "mean": _Key(("normal",), _REQUIRED, _number()),
+    "sd": _Key(("normal",), _REQUIRED, _number()),
+    "value": _Key(("constant",), _REQUIRED, _number()),
+    "values": _Key(("choice",), _REQUIRED, _numbers),
+    "weights": _Key(("choice",), None, _optional(_numbers)),
+}
+_law = _object("kind", _LAWS, _LAW_KEYS)
+
+_DRIVERS = {"iid": iid_driver, "m_dependent": m_dependent_driver, "finite_markov": markov_driver,
+            "alternating": alternating_driver}
+_DRIVER_KEYS = {
+    "law": _Key(("iid", "m_dependent"), _REQUIRED, _law),
+    # a block of draws allocates m floats beyond the block
+    "m": _Key(("m_dependent",), _REQUIRED, _number(1, _BLOCK, integer=True)),
+    "transition": _Key(("finite_markov",), _REQUIRED, _vectors),
+    "stationary": _Key(("finite_markov",), _REQUIRED, _numbers),
+    "emissions": _Key(("finite_markov",), _REQUIRED, _numbers),
+    "law_even": _Key(("alternating",), _REQUIRED, _law),
+    "law_odd": _Key(("alternating",), _REQUIRED, _law),
+}
+_scalar_driver = _object("family", _DRIVERS, _DRIVER_KEYS)
+
+# Each experiment's preconditions: the set families it takes, each with the
+# (least, greatest) n_max allowed; None for an experiment on a bare driver,
+# which it then requires. Ray tilts need two indices; needle_halo expansions
+# stay within the cell budget.
+_ANY_N = (1, _NUMBER_LIMIT)
+_EXPERIMENTS = {
+    "hausdorff_slln": dict.fromkeys(("segment", "two_point", "random_ball"), _ANY_N),
+    "km_diagnostics": {**dict.fromkeys(FAMILIES, _ANY_N), "random_ray": (2, _NUMBER_LIMIT)},
+    "cone_tracking": {"random_ray": (2, _NUMBER_LIMIT)},
+    "halo_certificate": {"needle_halo": (1, _HALO_N_MAX)},
+    "phi_profile": None,
+    "conditions_report": dict.fromkeys(FAMILIES, _ANY_N),
+    "cell_expansion": {**dict.fromkeys(FAMILIES, _ANY_N), "needle_halo": (1, _HALO_N_MAX)},
+    "scalar_slln": None,
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+_TRAJECTORIES = ("hausdorff_slln", "scalar_slln")
+_TOLERANCE_KEYS = {
+    "final_value": _Key(_TRAJECTORIES, 0.02, _number()),
+    "min_pass_count": _Key(_TRAJECTORIES, None, _optional(_number(integer=True))),  # None: every seed
+    "km_tolerance": _Key(("km_diagnostics",), 0.05, _number()),
+}
+
+# table order is check order: a key comes after the keys it needs
+_CONFIG_KEYS = {
+    "experiment": _Key(EXPERIMENTS, _REQUIRED, _check(lambda v: v in EXPERIMENTS, f"one of {EXPERIMENTS}")),
+    "driver": _Key(tuple(e for e in EXPERIMENTS if e != "halo_certificate"), None, _driver),
+    "family": _Key(tuple(e for e in EXPERIMENTS if _EXPERIMENTS[e]), _REQUIRED, _family, ("driver",)),
+    "n_max": _Key(_TRAJECTORIES + ("km_diagnostics", "cone_tracking", "halo_certificate", "cell_expansion"),
+                  _REQUIRED, _n_max, ("family",)),
+    "checkpoints": _Key(_TRAJECTORIES + ("km_diagnostics",), _REQUIRED, _checkpoints, ("n_max",)),
+    "target": _Key(("hausdorff_slln",), "coA", _check(lambda v: v in ("A", "coA"), "'A' or 'coA'")),
+    "window_radius": _Key(("km_diagnostics",), _REQUIRED, _number(0)),
+    "probes": _Key(("km_diagnostics",), _REQUIRED,
+                   lambda v, t: tuple(km_probes(t["family"], _vectors(v), t["window_radius"])),
+                   ("family", "window_radius")),
+    "n_terms": _Key(("phi_profile", "conditions_report"), _REQUIRED, _number(10, integer=True)),
+    "targets": _Key(("conditions_report",), [],
+                    lambda v, t: tuple(_require_target(t["family"], x) for x in _vectors(v)), ("family",)),
+    "directions": _Key(("conditions_report",), [],
+                       lambda v, t: tuple(dual_direction(d, t["family"].dimension) for d in _vectors(v)),
+                       ("family",)),
+    "seeds": _Key(EXPERIMENTS, [0], _list(_number(integer=True), nonempty=True)),
+    "tolerances": _Key(EXPERIMENTS, {}, _tolerances),
+    "expect": _Key(EXPERIMENTS, None, _optional_string),
+    "output_dir": _Key(EXPERIMENTS, None, _optional_string),
+}
+
+
+class ExperimentConfig(make_dataclass(
+    "ExperimentConfig", ["raw", ("spec", object, None)] + [(k, object, None) for k in _CONFIG_KEYS if k != "family"],
+    frozen=True,
+)):
+    """A checked config: raw is the canonical input and spec the family bound
+    to its driver; every other key of _CONFIG_KEYS holds its typed value, None
+    where the experiment does not take the key."""
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
-    problems: list[str] = []
     if not isinstance(obj, dict):
         raise ConfigInvalid(["config must be a JSON object"])
     exp = obj.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigInvalid([f"experiment: must be one of {EXPERIMENTS}, got {exp!r}"])
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[exp]
-    unknown = set(obj) - allowed
-    for k in sorted(unknown):
-        problems.append(f"unknown key {k!r}")
-
-    family = obj.get("family")
-    driver = None
-    if "driver" in obj and obj["driver"] is not None:
-        driver = _parse_driver(obj["driver"], "driver", problems)
-    elif exp in ("phi_profile", "scalar_slln") or (exp == "hausdorff_slln"):
-        if "driver" not in obj:
-            problems.append("missing key 'driver'")
-
-    spec = None
-    if "family" in _EXPERIMENT_KEYS[exp]:
-        if family is None:
-            problems.append("missing key 'family'")
-        else:
-            try:
-                spec = SetProcessSpec(family=family, driver=driver)
-            except Exception as e:
-                problems.append(f"family: {e}")
-
-    n_max = 0
-    n_max_ok = True
-    if "n_max" in _EXPERIMENT_KEYS[exp]:
-        n_max = obj.get("n_max")
-        if not _is_int(n_max) or n_max < 1:
-            problems.append(f"n_max: must be a positive integer, got {n_max!r}")
-            n_max, n_max_ok = 1, False
-
-    checkpoints = obj.get("checkpoints", [])
-    if "checkpoints" in _EXPERIMENT_KEYS[exp]:
-        if not checkpoints:
-            problems.append("missing key 'checkpoints'")
-        elif not isinstance(checkpoints, list) or not all(_is_int(c) and c >= 1 for c in checkpoints) or (
-            checkpoints != sorted(checkpoints)
-        ) or (n_max_ok and checkpoints[-1] > n_max):
-            problems.append("checkpoints: must be sorted positive integers within n_max")
-
-    seeds = obj.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(map(_is_int, seeds)):
-        problems.append("seeds: must be a nonempty list of integers")
-        seeds = [0]
+    typed, problems = _fields(obj, _CONFIG_KEYS, exp)
     override = os.environ.get(SEED_OVERRIDE_VAR)
     if override is not None:
         try:
-            seeds = [int(override)]
+            typed["seeds"] = (int(override),)
         except ValueError:
             problems.append(f"{SEED_OVERRIDE_VAR}: must be an integer, got {override!r}")
-
-    tolerances = obj.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        problems.append("tolerances: must be an object")
-        tolerances = {}
-    elif set(tolerances) - _TOLERANCE_KEYS:
-        problems.append(f"tolerances: unknown keys {sorted(set(tolerances) - _TOLERANCE_KEYS)}")
-    elif not all((_is_int if k == "min_pass_count" else _is_number)(v) for k, v in tolerances.items()):
-        problems.append("tolerances: min_pass_count must be an integer, the others numbers")
-
-    target = obj.get("target", "coA")
-    if target not in ("A", "coA"):
-        problems.append(f"target: must be 'A' or 'coA', got {target!r}")
-
-    probes = _vectors(obj, "probes", problems)
-    window_radius = obj.get("window_radius", 0.0)
-    if not _is_number(window_radius):
-        problems.append(f"window_radius: must be a number, got {window_radius!r}")
-    elif exp == "km_diagnostics" and window_radius <= 0:
-        problems.append("window_radius: must be positive")
-
-    n_terms = obj.get("n_terms", 0)
-    if "n_terms" in _EXPERIMENT_KEYS[exp] and (not _is_int(n_terms) or n_terms < 10):
-        problems.append(f"n_terms: must be an integer >= 10, got {n_terms!r}")
-
-    targets = _vectors(obj, "targets", problems)
-    directions = _vectors(obj, "directions", problems)
-    expect = obj.get("expect")
-    if expect is not None and not isinstance(expect, str):
-        problems.append("expect: must be a string verdict")
-    output_dir = obj.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        problems.append(f"output_dir: must be a path string, got {output_dir!r}")
-
     if problems:
         raise ConfigInvalid(problems)
-    return ExperimentConfig(
-        experiment=exp,
-        raw=canonical_config_dict(obj),
-        spec=spec,
-        driver=driver,
-        seeds=tuple(int(s) for s in seeds),
-        n_max=int(n_max) if n_max else 0,
-        checkpoints=tuple(int(c) for c in checkpoints),
-        target=target,
-        probes=probes,
-        window_radius=float(window_radius),
-        n_terms=int(n_terms) if n_terms else 0,
-        targets=targets,
-        directions=directions,
-        tolerances=dict(tolerances),
-        expect=expect,
-        output_dir=output_dir,
-    )
+    return ExperimentConfig(raw=canonical_config_dict(obj), spec=typed.pop("family", None), **typed)
 
 
 def canonical_config_dict(obj: dict) -> dict:
@@ -316,12 +309,10 @@ def canonical_config_dict(obj: dict) -> dict:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigInvalid([f"config file {p} does not exist"])
     try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigInvalid([f"invalid JSON: {e}"]) from e
+        obj = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, RecursionError, ValueError) as e:  # unreadable, not UTF-8 or not JSON
+        raise ConfigInvalid([f"config file {p}: {e}"]) from e
     return parse_config(obj)
 
 
@@ -358,8 +349,8 @@ def _run_trajectory_experiment(cfg: ExperimentConfig, out: Path, threads: int) -
         trajectories = [_seed_trajectory(j) for j in jobs]
     (out / "trajectory.csv").write_text(trajectory_csv(trajectories))
     finals = {t.seed: t.values[-1] for t in trajectories}
-    tol = float(cfg.tolerances.get("final_value", 0.02))
-    need = int(cfg.tolerances.get("min_pass_count", len(cfg.seeds)))
+    tol, need = cfg.tolerances["final_value"], cfg.tolerances["min_pass_count"]
+    need = len(cfg.seeds) if need is None else need
     passed = sum(1 for v in finals.values() if v <= tol)
     verdict = "converged" if passed >= need else "not_converged"
     report = {
@@ -381,8 +372,8 @@ def _merge_per_seed(cfg: ExperimentConfig, reports) -> tuple[str, dict]:
 
 
 def _run_km(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
-    tol = float(cfg.tolerances.get("km_tolerance", 0.05))
     args = (cfg.spec, cfg.probes, cfg.window_radius, cfg.n_max, cfg.checkpoints)
+    tol = cfg.tolerances["km_tolerance"]
     return _merge_per_seed(cfg, [run_km_diagnostics(*args, s, tolerance=tol) for s in cfg.seeds])
 
 
@@ -418,9 +409,7 @@ def _run_phi(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]
 
 def _run_conditions(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
     rep = slln_hypotheses_report(cfg.spec, cfg.targets, cfg.directions, cfg.n_terms)
-    d = rep.as_dict()
-    d["experiment"] = cfg.experiment
-    return rep.overall, d
+    return rep.overall, {**rep.as_dict(), "experiment": cfg.experiment}
 
 
 def _run_expansion(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
@@ -478,13 +467,13 @@ def _read_trajectory_csv(path: Path):
         raise SchemaMismatch("expected header 'metric,seed,n,value'")
     rows = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise SchemaMismatch(f"bad row: {ln!r}")
         try:
-            rows.append((parts[0], int(parts[1]), int(parts[2]), float(parts[3])))
+            metric, seed, n, value = ln.split(",")  # a ValueError unless four fields
+            rows.append((metric, int(seed), int(n), float(value)))
         except ValueError as e:
             raise SchemaMismatch(f"bad row: {ln!r}") from e
+        if rows[-1][2] < 1 or not math.isfinite(rows[-1][3]):  # the axes are logarithmic
+            raise SchemaMismatch(f"bad row: {ln!r} needs n >= 1 and a finite value")
     if not rows:
         raise SchemaMismatch("no data rows")
     return rows
@@ -573,8 +562,8 @@ def main(argv=None) -> int:
     if args.command == "plot":
         try:
             return emit_plot(args.csv, args.svg)
-        except SchemaMismatch as e:
-            print(f"SchemaMismatch: {e}", file=sys.stderr)
+        except (OSError, UnicodeError, SchemaMismatch) as e:
+            print(f"{type(e).__name__}: {e}", file=sys.stderr)
             return 2
 
     cfg_path = Path(args.config)

@@ -317,6 +317,21 @@ def _track_sector(ray_tilts, seed: int) -> KMReport:
     return KMReport(verdict="fails_with_certificate", seed=int(seed), certificate=cert)
 
 
+def km_probes(spec: SetProcessSpec, probes, window_radius: float) -> list[tuple[float, ...]]:
+    """The K-M probe points as float tuples, checked: at least one, each of
+    the family's dimension, in the target set D and inside the open window."""
+    probes = [tuple(float(c) for c in p) for p in probes]
+    if not probes:
+        raise ValueError("need at least one probe point")
+    D = expectation(spec).convexified
+    for p in probes:
+        if point_to_union_distance(p, D) > 1e-9:  # also checks the dimension
+            raise ProbeOutsideD(f"probe {p} is not in the target set")
+        if vnorm(p) >= window_radius:
+            raise ValueError("window_radius must exceed every probe norm")
+    return probes
+
+
 def run_km_diagnostics(
     spec: SetProcessSpec,
     probes,
@@ -340,17 +355,7 @@ def run_km_diagnostics(
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints or checkpoints != sorted(checkpoints) or checkpoints[-1] > n_max:
         raise ValueError("checkpoints must be sorted and within 1..n_max")
-    probes = [tuple(float(c) for c in p) for p in probes]
-    if not probes:
-        raise ValueError("need at least one probe point")
-    exp = expectation(spec)
-    D = exp.convexified
-    for p in probes:
-        if point_to_union_distance(p, D) > 1e-9:
-            raise ProbeOutsideD(f"probe {p} is not in the target set")
-        if vnorm(p) >= window_radius:
-            raise ValueError("window_radius must exceed every probe norm")
-
+    probes = km_probes(spec, probes, window_radius)
     if spec.family == "needle_halo":
         return _km_needle(spec, probes, window_radius, checkpoints, seed, tolerance, cell_budget_n)
     if spec.family == "random_ray":

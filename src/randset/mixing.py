@@ -58,20 +58,20 @@ class Law:
     weights: tuple[float, ...] = ()
 
     @staticmethod
-    def uniform(lo: float, hi: float) -> "Law":
-        if hi < lo:
+    def uniform(low: float, high: float) -> "Law":
+        if high < low:
             raise ValueError("uniform law endpoints out of order")
-        return Law(kind="uniform", a=float(lo), b=float(hi))
+        return Law(kind="uniform", a=float(low), b=float(high))
 
     @staticmethod
-    def normal(mu: float, sd: float) -> "Law":
+    def normal(mean: float, sd: float) -> "Law":
         if sd < 0:
             raise ValueError("normal law needs sd >= 0")
-        return Law(kind="normal", a=float(mu), b=float(sd))
+        return Law(kind="normal", a=float(mean), b=float(sd))
 
     @staticmethod
-    def constant(c: float) -> "Law":
-        return Law(kind="constant", a=float(c))
+    def constant(value: float) -> "Law":
+        return Law(kind="constant", a=float(value))
 
     @staticmethod
     def choice(values, weights=None) -> "Law":
@@ -79,6 +79,8 @@ class Law:
         if weights is None:
             weights = tuple(1.0 / len(values) for _ in values)
         weights = tuple(float(w) for w in weights)
+        if len(weights) != len(values):
+            raise ValueError("choice needs one weight per value")
         if abs(sum(weights) - 1.0) > 1e-12 or any(w < 0 for w in weights):
             raise ValueError("choice weights must be a probability vector")
         return Law(kind="choice", values=values, weights=weights)

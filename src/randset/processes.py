@@ -67,6 +67,8 @@ class SetProcessSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family in ("segment", "two_point", "random_ball") and self.driver is None:
             raise UnknownMoments(f"{self.family} needs a driver with analytic moments")
+        if self.family == "random_ball" and self.driver.mean < 0:
+            raise ValueError("random_ball needs a driver with a nonnegative mean radius")
         if self.family == "needle_halo" and self.driver is not None:
             raise ValueError("needle_halo draws its own halo points; no driver allowed")
         if self.family == "random_ray" and self.driver is not None:

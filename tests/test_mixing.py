@@ -1,6 +1,7 @@
 """Drivers, dependence coefficients, summability verdicts, scalar strong law."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -144,10 +145,30 @@ def reference_checkpoint_means(draws, checkpoints):
     return means
 
 
-_S, _B = mixing._STRIDE, mixing._BLOCK
-# lengths and 1-based indices at and around the kept-state and block boundaries
-EDGES = sorted({1, 2, 3} | {b + d for b in (_S, 2 * _S, _B - _S, _B, _B + _S) for d in (-1, 0, 1)})
-N_REF = EDGES[-1] + 2
+def edges(stride, block):
+    """Lengths and 1-based indices at and around the kept-state and block boundaries."""
+    bounds = (stride, 2 * stride, block - stride, block, block + stride)
+    return sorted({1, 2, 3} | {b + d for b in bounds for d in (-1, 0, 1)})
+
+
+# the property tests shrink the block and stride, so that their boundaries fall
+# at n in the hundreds and each example's reference loop stays short
+SMALL_STRIDE, SMALL_BLOCK = 32, 256
+EDGES = edges(SMALL_STRIDE, SMALL_BLOCK)
+
+
+@contextmanager
+def small_blocks(stride=SMALL_STRIDE, block=SMALL_BLOCK):
+    """mixing._STRIDE and mixing._BLOCK set small; kept chain states depend on
+    the stride, so they are cleared on the way in and out."""
+    saved = mixing._STRIDE, mixing._BLOCK
+    mixing._STRIDE, mixing._BLOCK = stride, block
+    mixing._kept_chain.cache_clear()
+    try:
+        yield
+    finally:
+        mixing._STRIDE, mixing._BLOCK = saved
+        mixing._kept_chain.cache_clear()
 
 
 @st.composite
@@ -164,51 +185,79 @@ def chains(draw):
     return markov_driver(P, pi, emissions)
 
 
-def reference_draws(driver, seed, n=N_REF):
+def reference_draws(driver, seed, n):
     return np.asarray(driver.emissions)[reference_states(driver, seed, n)]
+
+
+def check_draw_sequence(d, seed, edges):
+    ref = reference_draws(d, seed, edges[-1] + 2)
+    for n in edges:
+        assert np.array_equal(draw_sequence(d, n, seed), ref[:n])
+    mixing._kept_chain.cache_clear()
+    for n in reversed(edges):
+        assert np.array_equal(draw_sequence(d, n, seed), ref[:n])
+
+
+def check_draw_at(calls, refs, d, seed):
+    """draw_at at each ((driver, seed), index) of calls, forward then back,
+    with a full draw_sequence of (d, seed) between the two passes."""
+    for (drv, sd), i in calls:
+        assert draw_at(drv, i, sd) == refs[drv, sd][i - 1]
+    assert np.array_equal(draw_sequence(d, len(refs[d, seed]), seed), refs[d, seed])
+    for (drv, sd), i in reversed(calls):
+        assert draw_at(drv, i, sd) == refs[drv, sd][i - 1]
+
+
+def check_checkpoint_means(d, seed, cps, ref):
+    want = reference_checkpoint_means(ref, cps)
+    assert checkpoint_means(d, cps[-1], cps, seed) == want
+    assert checkpoint_means(d, cps[-1], cps, seed) == want  # from kept states
 
 
 @settings(max_examples=12, deadline=None)
 @given(d=chains(), seed=st.integers(0, 2**32))
 def test_markov_draw_sequence_matches_loop(d, seed):
-    mixing._kept_chain.cache_clear()
-    ref = reference_draws(d, seed)
-    for n in EDGES:
-        assert np.array_equal(draw_sequence(d, n, seed), ref[:n])
-    mixing._kept_chain.cache_clear()
-    for n in reversed(EDGES):
-        assert np.array_equal(draw_sequence(d, n, seed), ref[:n])
+    with small_blocks():
+        check_draw_sequence(d, seed, EDGES)
 
 
 @settings(max_examples=12, deadline=None)
 @given(d=chains(), other=chains(), seed=st.integers(0, 2**32), data=st.data())
 def test_markov_draw_at_in_any_order_matches_loop(d, other, seed, data):
-    mixing._kept_chain.cache_clear()
     # the same chain at another seed, and another chain at this seed, beside
     # (d, seed) in the cache: a cache keyed on less than (chain, seed) fails
-    refs = {(d, seed + 1): reference_draws(d, seed + 1, 3 * _S + 2),
-            (other, seed): reference_draws(other, seed, 3 * _S + 2),
-            (d, seed): reference_draws(d, seed)}  # last: other may equal d
+    short = 3 * SMALL_STRIDE + 2
+    refs = {(d, seed + 1): reference_draws(d, seed + 1, short),
+            (other, seed): reference_draws(other, seed, short),
+            (d, seed): reference_draws(d, seed, EDGES[-1] + 2)}  # last: other may equal d
     calls = []
     for _ in range(data.draw(st.integers(1, 12))):
         key = data.draw(st.sampled_from(sorted(refs, key=repr)))
         n = len(refs[key])
         calls.append((key, data.draw(st.sampled_from([e for e in EDGES if e <= n]) | st.integers(1, n))))
-    for (drv, sd), i in calls:
-        assert draw_at(drv, i, sd) == refs[drv, sd][i - 1]
-    assert np.array_equal(draw_sequence(d, N_REF, seed), refs[d, seed])
-    for (drv, sd), i in reversed(calls):
-        assert draw_at(drv, i, sd) == refs[drv, sd][i - 1]
+    with small_blocks():
+        check_draw_at(calls, refs, d, seed)
 
 
 @settings(max_examples=10, deadline=None)
 @given(d=chains(), seed=st.integers(0, 2**32), cps=st.lists(st.sampled_from(EDGES), min_size=1, max_size=5))
 def test_markov_checkpoint_means_match_loop(d, seed, cps):
+    with small_blocks():
+        check_checkpoint_means(d, seed, sorted(set(cps)), reference_draws(d, seed, EDGES[-1] + 2))
+
+
+def test_markov_paths_match_loop_at_real_block_sizes():
+    # one fixed example at mixing's own _STRIDE and _BLOCK
+    real = edges(mixing._STRIDE, mixing._BLOCK)
+    d = markov_driver([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]], [1 / 3, 1 / 3, 1 / 3], [-1.0, 0.5, 2.0])
+    ref = reference_draws(d, 5, real[-1] + 2)
     mixing._kept_chain.cache_clear()
-    cps = sorted(set(cps))
-    want = reference_checkpoint_means(reference_draws(d, seed), cps)
-    assert checkpoint_means(d, cps[-1], cps, seed) == want
-    assert checkpoint_means(d, cps[-1], cps, seed) == want  # from kept states
+    check_draw_sequence(d, 5, real)
+    mixing._kept_chain.cache_clear()
+    calls = [((d, 5), i) for i in (real[-1], *real)]  # the first call keeps every stride's state
+    check_draw_at(calls, {(d, 5): ref}, d, 5)
+    mixing._kept_chain.cache_clear()
+    check_checkpoint_means(d, 5, real[::3], ref)
 
 
 def count_driver_draws(monkeypatch):
