@@ -86,6 +86,7 @@ from .experiments import (
     cone_tracking,
     exact_cell_expansion,
     halo_certificate,
+    halo_certificates,
     harmonic_halo_radius,
     run_hausdorff_slln,
     run_km_diagnostics,

@@ -32,7 +32,7 @@ from .experiments import (
     Trajectory,
     cone_tracking,
     exact_cell_expansion,
-    halo_certificate,
+    halo_certificates,
     km_probes,
     run_hausdorff_slln,
     run_km_diagnostics,
@@ -386,8 +386,7 @@ def _run_halo(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict
     all_ok = True
     for s in cfg.seeds:
         rows = []
-        for n in range(1, cfg.n_max + 1):
-            a_in, in_halo, r_n = halo_certificate(cfg.spec, n, s)
+        for n, (a_in, in_halo, r_n) in enumerate(halo_certificates(cfg.spec, cfg.n_max, s), 1):
             all_ok = all_ok and a_in and in_halo
             rows.append({"n": n, "A_subset_Sn": a_in, "Sn_in_halo": in_halo, "r_n": r_n})
         per_seed.append({"seed": s, "certificates": rows})
@@ -472,8 +471,8 @@ def _read_trajectory_csv(path: Path):
             rows.append((metric, int(seed), int(n), float(value)))
         except ValueError as e:
             raise SchemaMismatch(f"bad row: {ln!r}") from e
-        if rows[-1][2] < 1 or not math.isfinite(rows[-1][3]):  # the axes are logarithmic
-            raise SchemaMismatch(f"bad row: {ln!r} needs n >= 1 and a finite value")
+        if not 1 <= rows[-1][2] <= sys.float_info.max or not math.isfinite(rows[-1][3]):  # log axes, as floats
+            raise SchemaMismatch(f"bad row: {ln!r} needs a float n >= 1 and a finite value")
     if not rows:
         raise SchemaMismatch("no data rows")
     return rows
@@ -482,7 +481,7 @@ def _read_trajectory_csv(path: Path):
 def _log_ticks(lo: float, hi: float):
     out = []
     e = math.floor(math.log10(lo))
-    while 10.0**e <= hi * (1 + 1e-12):
+    while e <= sys.float_info.max_10_exp and 10.0**e <= hi * (1 + 1e-12):
         if 10.0**e >= lo * (1 - 1e-12):
             out.append(10.0**e)
         e += 1
@@ -496,7 +495,7 @@ def emit_plot(trajectory_csv_path: str | Path, out_svg: str | Path) -> int:
     ys = [r[3] for r in rows]
     x_lo, x_hi = min(xs), max(xs)
     pos = [y for y in ys if y > 0]
-    y_floor = (min(pos) / 10.0) if pos else 1e-16
+    y_floor = (min(pos) / 10.0 or min(pos)) if pos else 1e-16  # the tenth of a subnormal may be 0
     y_lo, y_hi = y_floor, max(max(ys), y_floor * 10.0)
 
     def xmap(n):

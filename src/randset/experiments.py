@@ -1,10 +1,12 @@
 """Experiment orchestration for set-valued averaging.
 
-Hausdorff trajectories for the bounded families, exact Minkowski-average
-expansion at small n, halo containment certificates, ray-sector tracking with
-Kuratowski-Mosco failure certificates, distance-proxy K-M diagnostics, and a
-combined hypotheses report covering the three convergence conditions (mixing
-summability, selection second moments, support second moments).
+Hausdorff trajectories for the bounded families, exact Minkowski averages
+S_1..S_n built in one pass per seed (arrays of translates for the point and
+ray families, see `_prefix_sums`), halo containment certificates, ray-sector
+tracking with Kuratowski-Mosco failure certificates, distance-proxy K-M
+diagnostics, and a combined hypotheses report covering the three convergence
+conditions (mixing summability, selection second moments, support second
+moments).
 
 Almost-sure limit statements cannot be certified from finite runs. The
 protocol here is fixed instead: explicit seeds, geometric checkpoints, a final
@@ -19,11 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    Cone,
     SetUnion,
-    minkowski_sum,
-    point_to_cell_distance,
+    _cell_sum,
+    ball_cell,
+    cell_distances,
+    check_cell_budget,
+    interval_cell,
+    point_cell,
     point_to_union_distance,
     scale,
+    translate_distance,
+    translate_sum,
+    translate_union,
+    union_of,
     vnorm,
 )
 from .mixing import PhiProfile, checkpoint_means, draw_sequence, summability_report
@@ -32,7 +43,7 @@ from .processes import (
     SetProcessSpec,
     _sign_driver,
     expectation,
-    sample_set,
+    halo_point,
     selection_moment_series,
     support_moment_series,
 )
@@ -158,8 +169,48 @@ def run_hausdorff_slln(
 # exact cell expansion
 
 
+def _summands(spec: SetProcessSpec, n: int, seed: int):
+    """X_1, ..., X_n from one draw of the driver: each a translate group (see
+    `geometry.translate_sum`) or, for segment and random_ball, one cell."""
+    if spec.family == "needle_halo":
+        axis, point = AXIS_RAY.cone, Cone.trivial(2)
+        return ({axis: np.zeros((1, 2)), point: np.array([halo_point(k, seed)]) + 0.0} for k in range(1, n + 1))
+    xs = draw_sequence(_sign_driver(spec) if spec.family == "random_ray" else spec.driver, n, seed).tolist()
+    if spec.family == "random_ray":
+        return ({Cone.from_generators(2, [(math.cos(s / k), math.sin(s / k))]): np.zeros((1, 2))}
+                for k, s in enumerate(xs, 1))
+    if spec.family == "two_point":  # x + 1.0 is rounded before it is added, as in sample_set
+        return ({Cone.trivial(1): np.unique(np.array([[x], [x + 1.0]]) + 0.0, axis=0)} for x in xs)
+    if spec.family == "segment":
+        return (interval_cell(x, x + 1.0) for x in xs)
+    return (ball_cell((0.0, 0.0), max(0.0, x)) for x in xs)  # a Ball needs radius >= 0
+
+
+def _prefix_sums(spec: SetProcessSpec, n: int, seed: int, cell_budget: int | None = None):
+    """Yield S_1, ..., S_n of one (spec, seed), S_k = (1/k) * (X_1 + ... + X_k).
+
+    The translate families (needle_halo, two_point, random_ray) keep the
+    unscaled running sum as a translate group: a step is one broadcast add per
+    pair of groups and one exact row dedup, and S_k is that sum times 1/k, a
+    translate group whose rows `translate_union` deduplicates again, as
+    `scale` does. segment and random_ball sum their one cell with `_cell_sum`
+    and yield S_k as a SetUnion. Each step checks the cell budget on the
+    product of the two cell counts, as `minkowski_sum` does.
+    """
+    total = None
+    for k, x in enumerate(_summands(spec, n, seed), 1):
+        group = isinstance(x, dict)
+        if total is None:
+            total = x
+        else:
+            check_cell_budget(sum(map(len, total.values())) * sum(map(len, x.values())) if group else 1, cell_budget)
+            total = translate_sum(total, x) if group else _cell_sum(total, x)
+        lam = 1.0 / k
+        yield {cone: A * lam + 0.0 for cone, A in total.items()} if group else scale(lam, union_of([total]))
+
+
 def exact_cell_expansion(spec: SetProcessSpec, n: int, seed: int, cell_budget: int | None = None) -> SetUnion:
-    """S_n = (1/n) * (X_1 + ... + X_n) via the generic cell engine.
+    """S_n = (1/n) * (X_1 + ... + X_n), exact, from the last of `_prefix_sums`.
 
     Cell counts multiply before deduplication (2^n for the union families),
     so the cell budget caps n; the halo family reaches n = 19 at the default
@@ -167,10 +218,9 @@ def exact_cell_expansion(spec: SetProcessSpec, n: int, seed: int, cell_budget: i
     """
     if n < 1:
         raise ValueError("n is 1-based")
-    total = sample_set(spec, 1, seed)
-    for k in range(2, n + 1):
-        total = minkowski_sum(total, sample_set(spec, k, seed), cell_budget=cell_budget)
-    return scale(1.0 / n, total)
+    for sn in _prefix_sums(spec, n, seed, cell_budget):
+        pass
+    return sn if isinstance(sn, SetUnion) else translate_union(sn)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +232,29 @@ def harmonic_halo_radius(n: int) -> float:
     return math.fsum(1.0 / i for i in range(1, n + 1)) / n
 
 
+_ORIGIN = point_cell((0.0, 0.0))
+
+
+def halo_certificates(spec: SetProcessSpec, n_max: int, seed: int) -> list[tuple[bool, bool, float]]:
+    """`halo_certificate` for n = 1..n_max, read from one pass over the prefixes."""
+    if spec.family != "needle_halo":
+        raise ValueError("halo certificates only apply to the needle_halo family")
+    if n_max < 1:
+        raise ValueError("n is 1-based")
+    rows = []
+    for n, groups in enumerate(_prefix_sums(spec, n_max, seed), 1):
+        r_n = harmonic_halo_radius(n)
+        rays = groups.get(AXIS_RAY.cone)
+        a_inside = rays is not None and bool((rays == 0.0).all(axis=1).any())
+        # a point's distance to the axis ray, a translated ray's offset norm
+        in_halo = all(
+            not (cell_distances(A, AXIS_RAY if cone.is_trivial else _ORIGIN) > r_n).any()
+            for cone, A in groups.items()
+        )
+        rows.append((a_inside, in_halo, r_n))
+    return rows
+
+
 def halo_certificate(spec: SetProcessSpec, n: int, seed: int) -> tuple[bool, bool, float]:
     """(axis ray inside S_n, S_n inside ray + ball(0, r_n), r_n), all exact.
 
@@ -189,20 +262,7 @@ def halo_certificate(spec: SetProcessSpec, n: int, seed: int) -> tuple[bool, boo
     second checks every translated ray's offset norm and the distance of the
     single leftover point cell to the ray.
     """
-    if spec.family != "needle_halo":
-        raise ValueError("halo certificates only apply to the needle_halo family")
-    sn = exact_cell_expansion(spec, n, seed)
-    r_n = harmonic_halo_radius(n)
-    a_inside = AXIS_RAY in sn.cells
-    in_halo = True
-    for cell in sn.cells:
-        v = cell.base.vertices[0]
-        if cell.cone.is_trivial:
-            if point_to_cell_distance(v, AXIS_RAY) > r_n:
-                in_halo = False
-        elif vnorm(v) > r_n:
-            in_halo = False
-    return a_inside, in_halo, r_n
+    return halo_certificates(spec, n, seed)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +445,17 @@ def _finish_km(probe_rows, excess, methods, probes, checkpoints, window_radius, 
 
 
 def _km_needle(spec, probes, R, checkpoints, seed, tolerance, cell_budget_n):
+    n_exact = max((cp for cp in checkpoints if cp <= cell_budget_n), default=0)
+    at = dict(enumerate(_prefix_sums(spec, n_exact, seed), 1))
     probe_rows = [[] for _ in probes]
     excess, methods = [], []
     for cp in checkpoints:
         if cp <= cell_budget_n:
-            sn = exact_cell_expansion(spec, cp, seed)
             for i, p in enumerate(probes):
-                probe_rows[i].append(point_to_union_distance(p, sn))
+                probe_rows[i].append(translate_distance(p, at[cp]))
             # every cell is a translated ray or the leftover point; the sup of
             # d(., axis ray) over a rightward ray translate sits at its vertex
-            excess.append(max(point_to_cell_distance(c.base.vertices[0], AXIS_RAY) for c in sn.cells))
+            excess.append(max(float(cell_distances(A, AXIS_RAY).max()) for A in at[cp].values()))
             methods.append("exact_cells")
         else:
             for i in range(len(probes)):

@@ -14,6 +14,11 @@ rebuilt from its own fields by `poly_cell` or `ball_cell` is equal to it bit
 for bit, so structural equality is the cell's identity. `union_of` keeps one
 cell per value and orders cells by a numeric key; `_cell_line` is
 serialization only, and `format_set_union` sorts its lines.
+
+Unions of point and ray cells, and their sums, also have an array form, the
+translate group (`translate_sum`): one (m, d) vertex array per cone. Distances
+to point and ray cells run through one batched kernel (`cell_distances`,
+`translate_distance`) that rounds as the scalar functions do.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -449,6 +454,19 @@ class SetUnion:
         """`_stack_cells` of the cells, built on the first support query."""
         return _stack_cells(self.cells)
 
+    @cached_property
+    def _translates(self):
+        """(group, others) for `point_to_union_distance`: the point and ray
+        cells as a translate group, and every other cell; built on the first
+        query."""
+        group, others = {}, []
+        for c in self.cells:
+            if _is_point_or_ray(c):
+                group.setdefault(c.cone, []).append(c.base.vertices[0])
+            else:
+                others.append(c)
+        return {cone: np.array(v) for cone, v in group.items()}, others
+
 
 def union_of(cells) -> SetUnion:
     cells = list(cells)
@@ -549,17 +567,23 @@ def _cell_sum(a: ConvexCell, b: ConvexCell) -> ConvexCell:
     raise UnsupportedCellCombination("polytope base (+) ball base is not supported")
 
 
+def check_cell_budget(n_out: int, cell_budget: int | None = None):
+    """Raise CellBudgetExceeded when a sum of n_out cells exceeds the budget."""
+    budget = DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
+    if n_out > budget:
+        raise CellBudgetExceeded(f"{n_out} cells would exceed the budget of {budget}")
+
+
 def minkowski_sum(a: SetUnion, b: SetUnion, cell_budget: int | None = None) -> SetUnion:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    budget = DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
-    n_out = len(a.cells) * len(b.cells)
-    if n_out > budget:
-        raise CellBudgetExceeded(f"{n_out} cells would exceed the budget of {budget}")
+    check_cell_budget(len(a.cells) * len(b.cells), cell_budget)
     return union_of(_cell_sum(ca, cb) for ca, cb in product(a.cells, b.cells))
 
 
 def scale(lam: float, a: SetUnion) -> SetUnion:
+    """lam * a. A polytope base is rebuilt in canonical form only when two of
+    its scaled vertices fall within DEDUP_TOL of each other."""
     if lam < 0:
         raise NegativeScale("scaling factor must be nonnegative")
     if lam == 0:
@@ -567,7 +591,11 @@ def scale(lam: float, a: SetUnion) -> SetUnion:
     cells = []
     for c in a.cells:
         if isinstance(c.base, Polytope):
-            base = Polytope(vertices=tuple(as_vector(vscale(lam, v)) for v in c.base.vertices))
+            verts = [as_vector(vscale(lam, v)) for v in c.base.vertices]
+            if any(_close(u, w) for u, w in combinations(verts, 2)):
+                cells.append(_poly_cell(verts, c.cone))
+                continue
+            base = Polytope(vertices=tuple(verts))
         else:
             base = Ball(center=as_vector(vscale(lam, c.base.center)), radius=lam * c.base.radius)
         cells.append(ConvexCell(base=base, cone=c.cone))
@@ -585,6 +613,51 @@ def convex_hull(a: SetUnion) -> ConvexCell:
     for c in a.cells:
         cone = cone.merge(c.cone)
     return _poly_cell(verts, cone)
+
+
+# ---------------------------------------------------------------------------
+# translate groups: unions of point and ray cells (and their sums) as arrays
+
+_ROW_SCALARS = {1: np.float64, 2: np.complex128}  # a row as one scalar that sorts lexicographically
+
+
+def _unique_rows(A: np.ndarray) -> np.ndarray:
+    """The rows of A that differ by value, sorted. Rows of d <= 2 sort as one
+    real or complex scalar; the stable sort merges the nearly sorted runs that
+    `translate_sum` concatenates in about linear time."""
+    scalar = _ROW_SCALARS.get(A.shape[1])
+    if scalar is None:
+        return np.unique(A, axis=0)
+    s = np.sort(np.ascontiguousarray(A).view(scalar).ravel(), kind="stable")
+    return s[np.r_[True, s[1:] != s[:-1]]].view(np.float64).reshape(-1, A.shape[1])
+
+
+def translate_sum(a: dict, b: dict) -> dict:
+    """Minkowski sum of two translate groups.
+
+    A translate group maps a canonical cone to an (m, d) array of canonical
+    vertices and stands for the cells vertex + cone, one per row. The sum of
+    two such cells is the vertex sum under the merged cone (vertex sums as in
+    Fukuda 2004), so a pair of groups costs one broadcast add and one
+    `Cone.merge`, and the rows are then deduplicated by value as `union_of`
+    deduplicates cells. `+ 0.0` turns -0.0 into 0.0 as `as_vector` does, and
+    a full-space cone keeps the origin alone, as `_poly_cell` does.
+    """
+    out: dict = {}
+    for ca, A in a.items():
+        for cb, B in b.items():
+            cone = ca.merge(cb)
+            d = cone.dim
+            pts = np.zeros((1, d)) if cone.full_space else (A[:, None, :] + B[None, :, :]).reshape(-1, d) + 0.0
+            out.setdefault(cone, []).append(pts)
+    return {cone: _unique_rows(np.concatenate(parts)) for cone, parts in out.items()}
+
+
+def translate_union(groups: dict) -> SetUnion:
+    """The union of the cells of a translate group, through `union_of`."""
+    return union_of(
+        ConvexCell(base=Polytope(vertices=(tuple(v),)), cone=cone) for cone, A in groups.items() for v in A.tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +850,59 @@ def point_to_cell_distance(p, cell: ConvexCell) -> float:
     return _point_to_polytope(p, _hull_2d(_truncated_polytope(cell, reach)) if cell.dim == 2 else _truncated_polytope(cell, reach))
 
 
+def _is_point_or_ray(cell: ConvexCell) -> bool:
+    """One vertex plus a trivial or one-generator cone."""
+    return (
+        isinstance(cell.base, Polytope)
+        and len(cell.base.vertices) == 1
+        and (cell.cone.is_trivial or len(cell.cone.generators) == 1)
+    )
+
+
+def _translate_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
+    """Distance from P to the point V (trivial cone), or to the ray V + t g
+    (t >= 0) of the cone's one generator g, with P and V broadcast against
+    each other row by row.
+
+    The operations are those of `_point_to_polytope` on one vertex and of
+    `point_to_ray`, in the same order, elementwise and summed from +0.0 as in
+    `_coord_dot`, so each entry equals the scalar distance bit for bit.
+    """
+    W = P - V
+    to_vertex = np.sqrt(_coord_dot(W, W))
+    if cone.is_trivial:
+        return to_vertex
+    g = np.array(cone.generators[0])
+    t = _coord_dot(W, g) / _coord_dot(g, g)
+    foot = P - (V + t[..., None] * g)
+    return np.where(t <= 0, to_vertex, np.sqrt(_coord_dot(foot, foot)))
+
+
+def cell_distances(points, cell: ConvexCell) -> np.ndarray:
+    """point_to_cell_distance(p, cell) for each row p of an (m, d) array, bit
+    for bit, where the cell is a point or a ray (one vertex, at most one cone
+    generator); any other cell raises UnsupportedCellCombination."""
+    if not _is_point_or_ray(cell):
+        raise UnsupportedCellCombination("batched distances need a point or ray cell")
+    return _translate_distances(np.asarray(points, dtype=float), np.array(cell.base.vertices[0]), cell.cone)
+
+
+def translate_distance(p, groups: dict) -> float:
+    """point_to_union_distance(p, translate_union(groups)), bit for bit, for a
+    translate group of points and rays, without building the union; any other
+    cone raises UnsupportedCellCombination."""
+    if any(not (cone.is_trivial or len(cone.generators) == 1) for cone in groups):
+        raise UnsupportedCellCombination("batched distances need point and ray cells")
+    P = np.array(as_vector(p, next(iter(groups)).dim))
+    return min(float(_translate_distances(P, V, cone).min()) for cone, V in groups.items())
+
+
 def point_to_union_distance(p, u: SetUnion) -> float:
-    return min(point_to_cell_distance(p, c) for c in u.cells)
+    """The least point_to_cell_distance over the cells, bit for bit; the point
+    and ray cells go through `translate_distance`."""
+    p = as_vector(p, u.dim)
+    groups, others = u._translates
+    return min(([translate_distance(p, groups)] if groups else []) + [point_to_cell_distance(p, c) for c in others])
 
 
 # ---------------------------------------------------------------------------
@@ -990,14 +1114,18 @@ def recession_cone_detail(a: SetUnion):
     cones = [c.cone for c in a.cells]
     if all(k == cones[0] for k in cones):
         return cones[0], "shared", 0.0
+    distinct = set(cones)
     for i, c0 in enumerate(a.cells):
-        if not all(cone_is_subset(c.cone, c0.cone) for c in a.cells):
+        if not all(cone_is_subset(k, c0.cone) for k in distinct):
             continue
+        others = a.cells[:i] + a.cells[i + 1 :]
+        if _is_point_or_ray(c0) and all(isinstance(c.base, Polytope) for c in others):
+            # the loop below in one batch: no distance to a point or ray raises
+            V = np.array([v for c in others for v in c.base.vertices])
+            return c0.cone, "sandwich", max(0.0, float(cell_distances(V, c0).max()))
         radius = 0.0
         ok = True
-        for j, c in enumerate(a.cells):
-            if j == i:
-                continue
+        for c in others:
             if isinstance(c.base, Ball):
                 d = point_to_cell_distance(c.base.center, c0) + c.base.radius
                 radius = max(radius, d)

@@ -72,15 +72,7 @@ class SetProcessSpec:
         if self.family == "needle_halo" and self.driver is not None:
             raise ValueError("needle_halo draws its own halo points; no driver allowed")
         if self.family == "random_ray" and self.driver is not None:
-            d = self.driver
-            if d.family == "finite_markov":
-                emitted = set(d.emissions)
-            elif d.law is not None and d.law.kind == "choice":
-                emitted = set(d.law.values)
-            elif d.law is not None and d.law.kind == "constant":
-                emitted = {d.law.a}
-            else:
-                emitted = set()
+            emitted = _emitted_values(self.driver)
             if not emitted or not emitted <= {-1.0, 1.0}:
                 raise ValueError("random_ray sign driver must emit values in {-1, +1}")
 
@@ -91,6 +83,24 @@ class SetProcessSpec:
     @property
     def is_bounded(self) -> bool:
         return self.family in ("segment", "two_point", "random_ball")
+
+
+def _emitted_values(d: ScalarDriver) -> set[float]:
+    """The finite set of values the driver emits; empty when it is not finite
+    or not known: a continuous law, or an m_dependent average of m + 1 draws."""
+    if d.family == "finite_markov":
+        return set(d.emissions)
+    if d.family == "m_dependent":
+        return set()
+    emitted = set()
+    for law in (d.law, d.law_odd) if d.family == "alternating" else (d.law,):
+        if law.kind == "choice":
+            emitted |= set(law.values)
+        elif law.kind == "constant":
+            emitted.add(law.a)
+        else:
+            return set()
+    return emitted
 
 
 def segment_process(driver: ScalarDriver) -> SetProcessSpec:

@@ -116,6 +116,21 @@ def test_config_round_trip_is_canonical(name):
         pytest.param("ray_km_failure.json", {"n_max": 1}, None, "n_max", id="cone_tracking_n_max_1"),
         pytest.param("needle_halo_certificate.json", {"family": "random_ray"}, None, "family", id="halo_on_ray"),
         pytest.param("ball_slln.json", {"family": "random_ray"}, None, "family", id="hausdorff_on_ray"),
+        pytest.param(
+            "ray_km_failure.json",
+            {"driver": {"family": "m_dependent", "m": 1, "law": {"kind": "choice", "values": [-1.0, 1.0]}}},
+            None,
+            "family",
+            id="ray_m_dependent_signs",
+        ),
+        pytest.param(
+            "ray_km_failure.json",
+            {"driver": {"family": "alternating", "law_even": {"kind": "choice", "values": [-1.0, 1.0]},
+                        "law_odd": {"kind": "normal", "mean": 0.0, "sd": 1.0}}},
+            None,
+            "family",
+            id="ray_alternating_normal_odd_law",
+        ),
         pytest.param(None, {"driver": None}, None, "driver", id="scalar_null_driver"),
         pytest.param("halo_expansion.json", {"n_max": 40}, None, "n_max", id="halo_expansion_over_budget"),
         pytest.param(
@@ -585,13 +600,24 @@ def test_plot_deterministic_bytes(tmp_path):
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
-@pytest.mark.parametrize("row", ["m,1,0,0.5", "m,1,-3,0.5", "m,1,10,inf", "m,1,10,nan", "m,1,10,1e400"])
+@pytest.mark.parametrize("row", ["m,1,0,0.5", "m,1,-3,0.5", "m,1,10,inf", "m,1,10,nan", "m,1,10,1e400",
+                                 pytest.param("m,1,1" + "0" * 400 + ",0.5", id="n_past_float_max")])
 def test_plot_rows_off_the_log_axes_schema_mismatch(row, tmp_path):
     csv = tmp_path / "t.csv"
     write_csv(csv, ["m,1,1,0.5", row])
     with pytest.raises(SchemaMismatch):
         emit_plot(csv, tmp_path / "t.svg")
     assert main(["plot", str(csv), str(tmp_path / "t.svg")]) == 2
+
+
+@pytest.mark.parametrize("rows", [["m,1,1,0.5", "m,1,10,1e308"], ["m,1,1,5e-324", "m,1,10,0.5"],
+                                  ["m,1,1,1.7976931348623157e308"], ["m,1,1,5e-324"]])
+def test_plot_renders_extreme_finite_values(rows, tmp_path):
+    csv = tmp_path / "t.csv"
+    write_csv(csv, rows)
+    assert main(["plot", str(csv), str(tmp_path / "t.svg")]) == 0
+    svg = (tmp_path / "t.svg").read_text()
+    assert svg.endswith("</svg>\n") and "nan" not in svg and "inf" not in svg
 
 
 def test_plot_missing_csv_exits_two(tmp_path, capsys):

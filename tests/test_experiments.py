@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from randset import experiments
+from randset import experiments, processes
+from randset.cli import parse_config, run_config
 from randset.experiments import (
     ProbeOutsideD,
     Trajectory,
@@ -12,6 +14,7 @@ from randset.experiments import (
     cone_tracking,
     exact_cell_expansion,
     halo_certificate,
+    halo_certificates,
     harmonic_halo_radius,
     lattice_interval_hausdorff,
     lattice_two_point_hausdorff,
@@ -26,9 +29,13 @@ from randset.geometry import (
     hausdorff,
     hausdorff_windowed,
     interval_cell,
+    minkowski_sum,
+    point_to_cell_distance,
     point_union,
     recession_cone,
+    scale,
     union_of,
+    vnorm,
 )
 from randset.mixing import Law, alternating_driver, checkpoint_means, draw_sequence, iid_driver, markov_driver
 from randset.processes import (
@@ -162,11 +169,83 @@ def test_incremental_matches_expansion_small_n():
         for n in (2, 6):
             sn = exact_cell_expansion(needle_halo_process(), n, seed)
             rebuilt = sample_set(needle_halo_process(), 1, seed)
-            from randset.geometry import minkowski_sum, scale
-
             for k in range(2, n + 1):
                 rebuilt = minkowski_sum(rebuilt, sample_set(needle_halo_process(), k, seed))
             assert hausdorff_windowed(sn, scale(1.0 / n, rebuilt), 4.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one-pass prefixes against the per-index fold of the generic cell engine
+
+MK_ASYM = markov_driver([[0.7, 0.3], [0.1, 0.9]], [0.25, 0.75], [-0.5, 1.25])
+EXPANSION_CASES = {
+    "two_point_iid_normal": (two_point_process(iid_driver(Law.normal(0.3, 1.0))), 25),
+    "two_point_markov_asym": (two_point_process(MK_ASYM), 25),
+    "segment": (segment_process(ALT), 10),
+    "random_ball": (ball_process(ALT), 10),
+    "needle_halo": (needle_halo_process(), 10),
+    "random_ray": (ray_process(), 10),
+    "random_ray_markov": (ray_process(markov_driver([[0.6, 0.4], [0.2, 0.8]], [1 / 3, 2 / 3], [-1.0, 1.0])), 10),
+}
+
+
+def reference_expansion(spec, n, seed):
+    total = sample_set(spec, 1, seed)
+    for k in range(2, n + 1):
+        total = minkowski_sum(total, sample_set(spec, k, seed))
+    return scale(1.0 / n, total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(EXPANSION_CASES)).flatmap(
+    lambda name: st.tuples(st.just(EXPANSION_CASES[name][0]), st.integers(1, EXPANSION_CASES[name][1]))),
+    st.integers(0, 2**31))
+@example(case=EXPANSION_CASES["two_point_iid_normal"], seed=1)  # at n = 25, lattice points 1e-16 apart
+@example(case=EXPANSION_CASES["two_point_markov_asym"], seed=1)
+@example(case=EXPANSION_CASES["needle_halo"], seed=2)
+def test_expansion_matches_the_per_index_fold(case, seed):
+    spec, n = case
+    assert repr(exact_cell_expansion(spec, n, seed)) == repr(reference_expansion(spec, n, seed))
+
+
+def reference_halo_certificate(spec, n, seed):
+    sn = reference_expansion(spec, n, seed)
+    r_n = harmonic_halo_radius(n)
+    offsets = [
+        point_to_cell_distance(c.base.vertices[0], AXIS_RAY) if c.cone.is_trivial else vnorm(c.base.vertices[0])
+        for c in sn.cells
+    ]
+    return AXIS_RAY in sn.cells, max(offsets) <= r_n, r_n
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**31))
+def test_one_pass_halo_and_km_rows_match_the_per_n_reference(n_max, seed):
+    spec = needle_halo_process()
+    want = [reference_halo_certificate(spec, n, seed) for n in range(1, n_max + 1)]
+    assert halo_certificates(spec, n_max, seed) == want
+    assert halo_certificate(spec, n_max, seed) == want[-1]
+    probes = [(0.0, 0.0), (0.25, 0.0), (1.0, 0.0)]
+    checkpoints = list(range(1, n_max + 1)) + [20]
+    rep = run_km_diagnostics(spec, probes, 5.0, 20, checkpoints, seed, cell_budget_n=n_max)
+    exact = [reference_expansion(spec, cp, seed) for cp in checkpoints[:-1]]
+    want_rows = [[min(point_to_cell_distance(p, c) for c in sn.cells) for sn in exact] + [0.0] for p in probes]
+    want_excess = [max(point_to_cell_distance(c.base.vertices[0], AXIS_RAY) for c in sn.cells) for sn in exact]
+    assert repr(rep.probe_distances) == repr(tuple(tuple(r) for r in want_rows))
+    assert repr(rep.excess) == repr(tuple(want_excess + [harmonic_halo_radius(20)]))
+
+
+def test_run_halo_draws_each_halo_point_once_per_seed(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(n, seed):
+        calls.append((n, seed))
+        return processes.halo_point(n, seed)
+
+    monkeypatch.setattr(experiments, "halo_point", counting)
+    cfg = parse_config({"experiment": "halo_certificate", "family": "needle_halo", "n_max": 12, "seeds": [1, 2]})
+    assert run_config(cfg, tmp_path)[0] == 0
+    assert sorted(calls) == [(n, s) for n in range(1, 13) for s in (1, 2)]  # 24; 78 per seed when rebuilt per n
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +259,8 @@ def test_halo_certificate_exact_over_seeds():
             a_in, in_halo, r_n = halo_certificate(spec, n, seed)
             assert a_in and in_halo
             assert r_n == pytest.approx(math.fsum(1.0 / i for i in range(1, n + 1)) / n, abs=0.0)
+    with pytest.raises(ValueError, match="1-based"):
+        halo_certificate(spec, 0, 1)
 
 
 def test_halo_radius_values():

@@ -149,6 +149,12 @@ def test_scale_leaves_cones_alone():
     assert scale(1.0 / 5.0, c) == c
 
 
+def test_scale_merges_vertices_that_fall_within_dedup_tol():
+    s = scale(1e-3, union_of([interval_cell(0.0, 5e-10)]))
+    assert s.cells[0].base.vertices == ((0.0,),)
+    assert parse_set_union(format_set_union(s)) == s
+
+
 # ---------------------------------------------------------------------------
 # hulls and membership
 

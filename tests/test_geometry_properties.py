@@ -7,14 +7,19 @@ identities themselves are asserted at 1e-9 as contracted.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from randset.geometry import (
+    Ball,
     MembershipVerdict,
     Polytope,
+    UnsupportedCellCombination,
     as_vector,
     ball_cell,
+    cell_distances,
+    cone_is_subset,
     convex_hull,
     dual_direction,
     format_set_union,
@@ -24,12 +29,18 @@ from randset.geometry import (
     minkowski_sum,
     parse_set_union,
     point_cell,
+    point_to_cell_distance,
+    point_to_union_distance,
     point_union,
     poly_cell,
     ray_cell,
+    recession_cone_detail,
     scale,
     spread_directions,
     support,
+    translate_distance,
+    translate_sum,
+    translate_union,
     union_of,
 )
 
@@ -231,6 +242,101 @@ def test_hull_membership_bit_identical_to_scalar_loop(case, data):
     u, dirs = case
     x = data.draw(st.tuples(*[real] * u.dim))
     assert outcome(hull_membership_via_support, x, u, dirs) == outcome(ref_hull_membership, x, u, dirs)
+
+
+# ---------------------------------------------------------------------------
+# The batched point and ray distance kernel against the scalar functions, bit
+# for bit, and translate groups against the generic Minkowski sum.
+
+
+def ref_union_distance(p, u):
+    return min(point_to_cell_distance(p, c) for c in u.cells)
+
+
+def ref_recession_cone_detail(a):
+    """The scalar loop: every foreign vertex's distance to C0, one at a time."""
+    cones = [c.cone for c in a.cells]
+    if all(k == cones[0] for k in cones):
+        return cones[0], "shared", 0.0
+    for i, c0 in enumerate(a.cells):
+        if not all(cone_is_subset(c.cone, c0.cone) for c in a.cells):
+            continue
+        radius, ok = 0.0, True
+        for j, c in enumerate(a.cells):
+            if j == i:
+                continue
+            if isinstance(c.base, Ball):
+                radius = max(radius, point_to_cell_distance(c.base.center, c0) + c.base.radius)
+                continue
+            for v in c.base.vertices:
+                try:
+                    radius = max(radius, point_to_cell_distance(v, c0))
+                except UnsupportedCellCombination:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return c0.cone, "sandwich", radius
+    return None, None, 0.0
+
+
+def distance_outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (ValueError, UnsupportedCellCombination) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(union_and_directions(), st.data())
+def test_union_distance_bit_identical_to_cell_loop(case, data):
+    u, _ = case
+    x = data.draw(st.tuples(*[real] * u.dim))
+    assert distance_outcome(point_to_union_distance, x, u) == distance_outcome(ref_union_distance, x, u)
+
+
+@st.composite
+def translate_cells(draw, dim, max_size=4):
+    vec = st.tuples(*[real] * dim)
+    cells = []
+    for _ in range(draw(st.integers(1, max_size))):
+        if draw(st.booleans()):
+            cells.append(point_cell(draw(vec)))
+        else:
+            cells.append(ray_cell(draw(vec), draw(vec.filter(lambda g: math.hypot(*g) > 1e-3))))
+    return union_of(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(translate_cells(dim, 6), st.lists(st.tuples(*[real] * dim)))))
+def test_cell_distances_and_recession_bit_identical_to_scalar_loop(case):
+    u, points = case
+    assert distance_outcome(recession_cone_detail, u) == distance_outcome(ref_recession_cone_detail, u)
+    for cell in u.cells:
+        got = cell_distances(np.array(points).reshape(-1, u.dim), cell)
+        assert [repr(float(d)) for d in got] == [repr(point_to_cell_distance(p, cell)) for p in points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(translate_cells(dim), translate_cells(dim))))
+def test_translate_sum_is_the_minkowski_sum(pair):
+    a, b = pair
+
+    def groups(u):
+        out = {}
+        for c in u.cells:
+            out.setdefault(c.cone, []).append(c.base.vertices[0])
+        return {cone: np.array(v) for cone, v in out.items()}
+
+    total = translate_sum(groups(a), groups(b))
+    assert repr(translate_union(total)) == repr(minkowski_sum(a, b))
+    p = (0.5,) * a.dim
+    got = distance_outcome(translate_distance, p, total)
+    if all(cone.is_trivial or len(cone.generators) == 1 for cone in total):
+        assert got == distance_outcome(point_to_union_distance, p, minkowski_sum(a, b))
+    else:
+        assert got.startswith("UnsupportedCellCombination")
 
 
 def test_support_never_returns_negative_zero():
