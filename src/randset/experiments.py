@@ -1,8 +1,8 @@
 """Experiment orchestration for set-valued averaging.
 
 Hausdorff trajectories for the bounded families, exact Minkowski averages
-S_1..S_n built in one pass per seed (arrays of translates for the point and
-ray families, see `_prefix_sums`), halo containment certificates, ray-sector
+S_1..S_n summed in one pass over `processes._sets` per seed (translate groups
+for the point and ray families), halo containment certificates, ray-sector
 tracking with Kuratowski-Mosco failure certificates, distance-proxy K-M
 diagnostics, and a combined hypotheses report covering the three convergence
 conditions (mixing summability, selection second moments, support second
@@ -21,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Cone,
     SetUnion,
     _cell_sum,
-    ball_cell,
     cell_distances,
     check_cell_budget,
-    interval_cell,
     point_cell,
     point_to_union_distance,
     scale,
@@ -37,13 +34,13 @@ from .geometry import (
     union_of,
     vnorm,
 )
-from .mixing import PhiProfile, checkpoint_means, draw_sequence, summability_report
+from .mixing import PhiProfile, checkpoint_means, summability_report
 from .processes import (
     AXIS_RAY,
     SetProcessSpec,
-    _sign_driver,
+    _draws,
+    _sets,
     expectation,
-    halo_point,
     selection_moment_series,
     support_moment_series,
 )
@@ -169,44 +166,34 @@ def run_hausdorff_slln(
 # exact cell expansion
 
 
-def _summands(spec: SetProcessSpec, n: int, seed: int):
-    """X_1, ..., X_n from one draw of the driver: each a translate group (see
-    `geometry.translate_sum`) or, for segment and random_ball, one cell."""
-    if spec.family == "needle_halo":
-        axis, point = AXIS_RAY.cone, Cone.trivial(2)
-        return ({axis: np.zeros((1, 2)), point: np.array([halo_point(k, seed)]) + 0.0} for k in range(1, n + 1))
-    xs = draw_sequence(_sign_driver(spec) if spec.family == "random_ray" else spec.driver, n, seed).tolist()
-    if spec.family == "random_ray":
-        return ({Cone.from_generators(2, [(math.cos(s / k), math.sin(s / k))]): np.zeros((1, 2))}
-                for k, s in enumerate(xs, 1))
-    if spec.family == "two_point":  # x + 1.0 is rounded before it is added, as in sample_set
-        return ({Cone.trivial(1): np.unique(np.array([[x], [x + 1.0]]) + 0.0, axis=0)} for x in xs)
-    if spec.family == "segment":
-        return (interval_cell(x, x + 1.0) for x in xs)
-    return (ball_cell((0.0, 0.0), max(0.0, x)) for x in xs)  # a Ball needs radius >= 0
-
-
 def _prefix_sums(spec: SetProcessSpec, n: int, seed: int, cell_budget: int | None = None):
-    """Yield S_1, ..., S_n of one (spec, seed), S_k = (1/k) * (X_1 + ... + X_k).
+    """Yield (k, X_1 + ... + X_k) for k = 1..n of one (spec, seed), unscaled;
+    `_mean` turns one into S_k.
 
     The translate families (needle_halo, two_point, random_ray) keep the
-    unscaled running sum as a translate group: a step is one broadcast add per
-    pair of groups and one exact row dedup, and S_k is that sum times 1/k, a
-    translate group whose rows `translate_union` deduplicates again, as
-    `scale` does. segment and random_ball sum their one cell with `_cell_sum`
-    and yield S_k as a SetUnion. Each step checks the cell budget on the
-    product of the two cell counts, as `minkowski_sum` does.
+    running sum as a translate group: a step is one broadcast add per pair of
+    groups and one exact row dedup. segment and random_ball sum their one cell
+    with `_cell_sum`. Each step checks the cell budget on the product of the
+    two cell counts, as `minkowski_sum` does.
     """
     total = None
-    for k, x in enumerate(_summands(spec, n, seed), 1):
+    for k, x in enumerate(_sets(spec, 1, n, seed), 1):
         group = isinstance(x, dict)
         if total is None:
             total = x
         else:
             check_cell_budget(sum(map(len, total.values())) * sum(map(len, x.values())) if group else 1, cell_budget)
             total = translate_sum(total, x) if group else _cell_sum(total, x)
-        lam = 1.0 / k
-        yield {cone: A * lam + 0.0 for cone, A in total.items()} if group else scale(lam, union_of([total]))
+        yield k, total
+
+
+def _mean(total, k: int):
+    """S_k = (1/k) * total: a translate group whose rows `translate_union`
+    deduplicates again, as `scale` does, or a SetUnion."""
+    lam = 1.0 / k
+    if isinstance(total, dict):
+        return {cone: A * lam + 0.0 for cone, A in total.items()}
+    return scale(lam, union_of([total]))
 
 
 def exact_cell_expansion(spec: SetProcessSpec, n: int, seed: int, cell_budget: int | None = None) -> SetUnion:
@@ -218,8 +205,9 @@ def exact_cell_expansion(spec: SetProcessSpec, n: int, seed: int, cell_budget: i
     """
     if n < 1:
         raise ValueError("n is 1-based")
-    for sn in _prefix_sums(spec, n, seed, cell_budget):
+    for k, total in _prefix_sums(spec, n, seed, cell_budget):
         pass
+    sn = _mean(total, k)
     return sn if isinstance(sn, SetUnion) else translate_union(sn)
 
 
@@ -242,7 +230,8 @@ def halo_certificates(spec: SetProcessSpec, n_max: int, seed: int) -> list[tuple
     if n_max < 1:
         raise ValueError("n is 1-based")
     rows = []
-    for n, groups in enumerate(_prefix_sums(spec, n_max, seed), 1):
+    for n, total in _prefix_sums(spec, n_max, seed):
+        groups = _mean(total, n)
         r_n = harmonic_halo_radius(n)
         rays = groups.get(AXIS_RAY.cone)
         a_inside = rays is not None and bool((rays == 0.0).all(axis=1).any())
@@ -328,8 +317,7 @@ def _ray_tilts(spec: SetProcessSpec, n_max: int, seed: int):
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    signs = draw_sequence(_sign_driver(spec), n_max, seed)
-    tilts = signs / np.arange(1, n_max + 1, dtype=float)
+    tilts = _draws(spec, 1, n_max, seed) / np.arange(1, n_max + 1, dtype=float)
     alpha_plus = np.maximum.accumulate(np.where(tilts > 0, tilts, -np.inf))
     alpha_minus = np.minimum.accumulate(np.where(tilts < 0, tilts, np.inf))
     return tilts, alpha_plus, alpha_minus
@@ -446,7 +434,7 @@ def _finish_km(probe_rows, excess, methods, probes, checkpoints, window_radius, 
 
 def _km_needle(spec, probes, R, checkpoints, seed, tolerance, cell_budget_n):
     n_exact = max((cp for cp in checkpoints if cp <= cell_budget_n), default=0)
-    at = dict(enumerate(_prefix_sums(spec, n_exact, seed), 1))
+    at = {k: _mean(total, k) for k, total in _prefix_sums(spec, n_exact, seed) if k in checkpoints}
     probe_rows = [[] for _ in probes]
     excess, methods = [], []
     for cp in checkpoints:

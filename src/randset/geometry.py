@@ -1119,27 +1119,14 @@ def recession_cone_detail(a: SetUnion):
         if not all(cone_is_subset(k, c0.cone) for k in distinct):
             continue
         others = a.cells[:i] + a.cells[i + 1 :]
-        if _is_point_or_ray(c0) and all(isinstance(c.base, Polytope) for c in others):
-            # the loop below in one batch: no distance to a point or ray raises
-            V = np.array([v for c in others for v in c.base.vertices])
-            return c0.cone, "sandwich", max(0.0, float(cell_distances(V, c0).max()))
-        radius = 0.0
-        ok = True
-        for c in others:
-            if isinstance(c.base, Ball):
-                d = point_to_cell_distance(c.base.center, c0) + c.base.radius
-                radius = max(radius, d)
-                continue
-            for v in c.base.vertices:
-                try:
-                    radius = max(radius, point_to_cell_distance(v, c0))
-                except UnsupportedCellCombination:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return c0.cone, "sandwich", radius
+        # every foreign vertex, and every ball's centre with its radius
+        pts = [(v, 0.0) for c in others if isinstance(c.base, Polytope) for v in c.base.vertices]
+        P, r = zip(*pts, *[(c.base.center, c.base.radius) for c in others if isinstance(c.base, Ball)])
+        try:
+            d = cell_distances(P, c0) if _is_point_or_ray(c0) else np.array([point_to_cell_distance(p, c0) for p in P])
+        except UnsupportedCellCombination:
+            continue
+        return c0.cone, "sandwich", max(0.0, float((d + np.array(r)).max()))
     return None, None, 0.0
 
 

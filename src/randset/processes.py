@@ -11,28 +11,32 @@ Five families cover the experiment catalog:
 
 Each family ships its sampled sets exactly (no approximation), an analytic
 expectation, point selections whose means are exact, and the analytic
-second-moment series the convergence theory needs. Everything is a pure
-function of (spec, seed, index).
+second-moment series the convergence theory needs. `_sets` alone builds the
+sets, one driver scan per index range, as a pure function of (spec, seed, range).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+
+import numpy as np
 
 from . import rng
 from .geometry import (
+    Cone,
     SetUnion,
     ball_cell,
     interval_cell,
-    point_cell,
     point_union,
     ray_cell,
     support,
+    translate_union,
     union_of,
     vnorm,
 )
-from .mixing import ScalarDriver, draw_at, fair_sign_driver
+from .mixing import ScalarDriver, _draw_block, fair_sign_driver
 
 FAMILIES = ("segment", "two_point", "random_ball", "needle_halo", "random_ray")
 
@@ -126,37 +130,49 @@ def ray_process(sign_driver: ScalarDriver | None = None) -> SetProcessSpec:
 AXIS_RAY = ray_cell((0.0, 0.0), (1.0, 0.0))
 
 
-def _sign_driver(spec: SetProcessSpec) -> ScalarDriver:
-    return spec.driver if spec.driver is not None else fair_sign_driver()
-
-
-def ray_direction(spec: SetProcessSpec, n: int, seed: int) -> tuple[float, float]:
-    s = draw_at(_sign_driver(spec), n, seed)
-    th = s / n
-    return (math.cos(th), math.sin(th))
-
-
 def halo_point(n: int, seed: int) -> tuple[float, float]:
     e = rng.unit_disk_point(seed, n)
     return (e[0] / n, e[1] / n)
 
 
+def _draws(spec: SetProcessSpec, start: int, count: int, seed: int) -> np.ndarray:
+    """What X_start..X_{start+count-1} are built from: driver draws, or halo points."""
+    if start < 1:
+        raise ValueError("n is 1-based")
+    if spec.family == "needle_halo":
+        return np.array([halo_point(k, seed) for k in range(start, start + count)])
+    # a random_ray spec without a driver takes independent fair signs
+    return _draw_block(spec.driver if spec.driver is not None else fair_sign_driver(), seed, start - 1, count)
+
+
+def _sets(spec: SetProcessSpec, start: int, count: int, seed: int):
+    """X_start..X_{start+count-1}, each a translate group (see
+    `geometry.translate_sum`) or, for segment and random_ball, one cell."""
+    if spec.family == "needle_halo":
+        return ({AXIS_RAY.cone: np.zeros((1, 2)), Cone.trivial(2): h[None] + 0.0} for h in _draws(spec, start, count, seed))
+    xs = _draws(spec, start, count, seed).tolist()
+    if spec.family == "random_ray":
+        return ({Cone.from_generators(2, [(math.cos(s / k), math.sin(s / k))]): np.zeros((1, 2))}
+                for k, s in enumerate(xs, start))
+    if spec.family == "two_point":  # one row when x + 1.0 rounds back to x
+        return ({Cone.trivial(1): np.array(sorted({x + 0.0, x + 1.0}))[:, None]} for x in xs)
+    if spec.family == "segment":
+        return (interval_cell(x, x + 1.0) for x in xs)
+    return (ball_cell((0.0, 0.0), max(0.0, x)) for x in xs)  # a Ball needs radius >= 0
+
+
+def _union(x) -> SetUnion:
+    return translate_union(x) if isinstance(x, dict) else union_of([x])
+
+
+def ray_direction(spec: SetProcessSpec, n: int, seed: int) -> tuple[float, float]:
+    th = float(_draws(spec, n, 1, seed)[0]) / n
+    return (math.cos(th), math.sin(th))
+
+
 def sample_set(spec: SetProcessSpec, n: int, seed: int) -> SetUnion:
     """The n-th set of the sequence (1-based), encoded exactly."""
-    if n < 1:
-        raise ValueError("n is 1-based")
-    if spec.family == "segment":
-        x = draw_at(spec.driver, n, seed)
-        return union_of([interval_cell(x, x + 1.0)])
-    if spec.family == "two_point":
-        x = draw_at(spec.driver, n, seed)
-        return point_union([(x,), (x + 1.0,)])
-    if spec.family == "random_ball":
-        r = max(0.0, draw_at(spec.driver, n, seed))  # Ball needs radius >= 0
-        return union_of([ball_cell((0.0, 0.0), r)])
-    if spec.family == "needle_halo":
-        return union_of([AXIS_RAY, point_cell(halo_point(n, seed))])
-    return union_of([ray_cell((0.0, 0.0), ray_direction(spec, n, seed))])
+    return _union(next(_sets(spec, n, 1, seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +226,11 @@ def support_process(spec: SetProcessSpec, x_star, n_range, seed: int) -> list[fl
     ns = list(n_range)
     if not ns:
         raise ValueError("empty index range")
-    return [support(x_star, sample_set(spec, n, seed)) for n in ns]
+    values = {}
+    for _, run in groupby(enumerate(sorted(set(ns))), lambda t: t[1] - t[0]):  # runs of consecutive n
+        run = [n for _, n in run]
+        values.update(zip(run, (support(x_star, _union(x)) for x in _sets(spec, run[0], len(run), seed))))
+    return [values[n] for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +264,16 @@ def selection(spec: SetProcessSpec, target, n: int, seed: int, rule: str | None 
     the driver draw shifted by the target's offset from the mean.
     """
     target = _require_target(spec, target)
-    if spec.family == "segment":
-        x = draw_at(spec.driver, n, seed)
-        return (x + (target[0] - spec.driver.mean),)
-    if spec.family == "two_point":
-        x = draw_at(spec.driver, n, seed)
-        offset = 0.0 if abs(target[0] - spec.driver.mean) <= 1e-12 else 1.0
-        return (x + offset,)
+    if spec.is_bounded:  # segment or two_point: _require_target refuses random_ball
+        x = float(_draws(spec, n, 1, seed)[0])
+        if spec.family == "segment":
+            return (x + (target[0] - spec.driver.mean),)
+        return (x + (0.0 if abs(target[0] - spec.driver.mean) <= 1e-12 else 1.0),)
     if spec.family == "needle_halo":
         if rule == "halo_point":
             if vnorm(target) > 1e-12:
                 raise TargetNotInA("the halo-point selection averages to the origin only")
-            return halo_point(n, seed)
+            return tuple(_draws(spec, n, 1, seed)[0].tolist())
         return target
     v = ray_direction(spec, n, seed)
     t = target[0] / math.cos(1.0 / n)
@@ -310,12 +328,8 @@ def support_moment_series(spec: SetProcessSpec, x_star, N: int) -> SupportMoment
     s_a = support(x_star, exp.claimed)
     if math.isinf(s_a):
         return SupportMomentSeries(partial_sum=None, infinite_term_at=None, vacuous=True)
-    if spec.family in ("segment", "two_point"):
-        c2 = x_star[0] ** 2
-        total = math.fsum(c2 * spec.driver.variance_at(n) / n**2 for n in range(1, N + 1))
-        return SupportMomentSeries(partial_sum=total, infinite_term_at=None, vacuous=False)
-    if spec.family == "random_ball":
-        c2 = vnorm(x_star) ** 2
+    if spec.is_bounded:
+        c2 = x_star[0] ** 2 if spec.dimension == 1 else vnorm(x_star) ** 2
         total = math.fsum(c2 * spec.driver.variance_at(n) / n**2 for n in range(1, N + 1))
         return SupportMomentSeries(partial_sum=total, infinite_term_at=None, vacuous=False)
     if spec.family == "needle_halo":

@@ -37,7 +37,7 @@ from randset.geometry import (
     union_of,
     vnorm,
 )
-from randset.mixing import Law, alternating_driver, checkpoint_means, draw_sequence, iid_driver, markov_driver
+from randset.mixing import Law, alternating_driver, checkpoint_means, iid_driver, markov_driver
 from randset.processes import (
     AXIS_RAY,
     ball_process,
@@ -238,14 +238,29 @@ def test_one_pass_halo_and_km_rows_match_the_per_n_reference(n_max, seed):
 def test_run_halo_draws_each_halo_point_once_per_seed(monkeypatch, tmp_path):
     calls = []
 
+    original = processes.halo_point
+
     def counting(n, seed):
         calls.append((n, seed))
-        return processes.halo_point(n, seed)
+        return original(n, seed)
 
-    monkeypatch.setattr(experiments, "halo_point", counting)
+    monkeypatch.setattr(processes, "halo_point", counting)
     cfg = parse_config({"experiment": "halo_certificate", "family": "needle_halo", "n_max": 12, "seeds": [1, 2]})
     assert run_config(cfg, tmp_path)[0] == 0
     assert sorted(calls) == [(n, s) for n in range(1, 13) for s in (1, 2)]  # 24; 78 per seed when rebuilt per n
+
+
+def test_exact_cell_expansion_scales_only_the_last_prefix(monkeypatch):
+    want = repr(exact_cell_expansion(segment_process(MK), 50, 3))
+    lams = []
+
+    def counting(lam, a):
+        lams.append(lam)
+        return scale(lam, a)
+
+    monkeypatch.setattr(experiments, "scale", counting)
+    assert repr(exact_cell_expansion(segment_process(MK), 50, 3)) == want
+    assert lams == [1.0 / 50]  # one scale per prefix called it 50 times
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +369,13 @@ def test_km_ray_fails_with_certificate():
 def test_km_ray_draws_the_signs_once_per_seed(monkeypatch):
     calls = []
 
-    def counting(driver, n, seed=None):
-        calls.append(seed)
-        return draw_sequence(driver, n, seed)
+    original = processes._draw_block
 
-    monkeypatch.setattr(experiments, "draw_sequence", counting)
+    def counting(driver, seed, start, count):
+        calls.append(seed)
+        return original(driver, seed, start, count)
+
+    monkeypatch.setattr(processes, "_draw_block", counting)
     for seed in (3, 4):
         run_km_diagnostics(ray_process(), [(0.0, 0.0), (1.0, 0.0)], 5.0, 1000, [10, 1000], seed)
     assert calls == [3, 4]

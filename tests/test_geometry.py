@@ -443,6 +443,14 @@ def test_recession_sandwich_rule():
             assert point_to_cell_distance(v, base) <= radius + 1e-12
 
 
+def test_recession_adds_a_ball_radius_and_skips_unsupported_base_cells():
+    u = union_of([ray_cell((0, 0), (1, 0)), ball_cell((5, 5), 1)])
+    assert recession_cone_detail(u) == (Cone.from_generators(2, [(1, 0)]), "sandwich", 6.0)
+    # no distance to a ball with a cone: neither a vertex's nor a ball centre's
+    for other in (point_cell((5, 5)), ball_cell((5, 5), 1)):
+        assert recession_cone(union_of([ball_cell((0, 0), 1, [(1, 0)]), other])) is None
+
+
 def test_recession_unknown_for_disjoint_cones():
     u = union_of([ray_cell((0, 0), (1, 0)), ray_cell((0, 0), (0, 1))])
     assert recession_cone(u) is None

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from randset import mixing
 from randset.geometry import (
     ball_cell,
     format_set_union,
@@ -20,6 +22,7 @@ from randset.mixing import (
     Law,
     alternating_driver,
     draw_at,
+    fair_sign_driver,
     iid_driver,
     markov_driver,
 )
@@ -45,6 +48,21 @@ from randset.processes import (
 
 MK = markov_driver([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], [-1.0, 1.0])
 ALT = alternating_driver(Law.uniform(0.9, 1.1), Law.normal(1.0, 0.1))
+ASYM = markov_driver([[0.9, 0.1], [0.3, 0.7]], [0.75, 0.25], [-1.0, 3.0])
+
+
+def reference_set(spec, n, seed):
+    """X_n built on its own from draw_at or halo_point, one index at a time."""
+    if spec.family == "needle_halo":
+        return union_of([AXIS_RAY, point_cell(halo_point(n, seed))])
+    x = draw_at(spec.driver if spec.driver is not None else fair_sign_driver(), n, seed)
+    if spec.family == "segment":
+        return union_of([interval_cell(x, x + 1.0)])
+    if spec.family == "two_point":
+        return point_union([(x,), (x + 1.0,)])
+    if spec.family == "random_ball":
+        return union_of([ball_cell((0.0, 0.0), max(0.0, x))])
+    return union_of([ray_cell((0.0, 0.0), (math.cos(x / n), math.sin(x / n)))])
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +101,66 @@ def test_ray_sample_is_unit_ray():
     (g,) = cell.cone.generators
     assert vnorm(g) == pytest.approx(1.0, abs=1e-15)
     assert abs(g[1]) == pytest.approx(math.sin(1 / 3), abs=1e-15)
+
+
+# drivers of each kind: iid, alternating and asymmetric Markov, for the scalar
+# families (with draws below 0 for the ball's clamp) and for the ray's signs
+SCALAR_DRIVERS = (iid_driver(Law.normal(0.5, 1.0)), ALT, ASYM)
+SIGN_DRIVERS = (
+    None,
+    alternating_driver(Law.fair_signs(), Law.choice((-1.0, 1.0), (0.5, 0.5))),
+    markov_driver([[0.9, 0.1], [0.3, 0.7]], [0.75, 0.25], [-1.0, 1.0]),
+)
+SPECS = [f(d) for f in (segment_process, two_point_process, ball_process) for d in SCALAR_DRIVERS]
+SPECS += [needle_halo_process()] + [ray_process(d) for d in SIGN_DRIVERS]
+DIRECTIONS = {1: [(1.0,), (-1.0,), (0.0,)], 2: [(1.0, 0.0), (-0.6, 0.8), (0.0, -1.0), (0.3, 0.2)]}
+
+
+@st.composite
+def index_lists(draw):
+    """A range, a descending list or a gapped list, from a start in 1..3,000
+    that may sit on either side of a kept-state stride (1,024)."""
+    start = draw(st.sampled_from([1, 2, 1023, 1024, 1025, 2049]) | st.integers(1, 3000))
+    length = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["range", "descending", "gapped"]))
+    if kind == "range":
+        return range(start, start + length)
+    if kind == "descending":
+        return list(range(start + length - 1, start - 1, -1))
+    return draw(st.lists(st.integers(start, start + 3 * length), min_size=1, max_size=length))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(SPECS), seed=st.integers(0, 2**32), ns=index_lists(), data=st.data())
+def test_range_form_matches_per_index_reference(spec, seed, ns, data):
+    x_star = data.draw(st.sampled_from(DIRECTIONS[spec.dimension]))
+    refs = {n: reference_set(spec, n, seed) for n in ns}
+    for n in ns:
+        assert repr(sample_set(spec, n, seed)) == repr(refs[n])
+    want = [support(x_star, refs[n]) for n in ns]
+    assert repr(support_process(spec, x_star, ns, seed)) == repr(want)
+
+
+def count_driver_draws(monkeypatch):
+    counted = [0]
+    original = mixing.uniform_block
+
+    def counting(seed, stream, start, count):
+        if stream == mixing.STREAM_DRIVER:
+            counted[0] += count
+        return original(seed, stream, start, count)
+
+    monkeypatch.setattr(mixing, "uniform_block", counting)
+    return counted
+
+
+def test_markov_support_process_scans_the_driver_once(monkeypatch):
+    mixing._kept_chain.cache_clear()
+    counted = count_driver_draws(monkeypatch)
+    support_process(segment_process(ASYM), (1.0,), range(1, 20_001), 2)
+    # one scan, plus at most one stride before the first index; a scan per
+    # index from the nearest kept state drew 10,118,896
+    assert counted[0] <= 20_000 + mixing._STRIDE
 
 
 def test_sampling_is_deterministic():
