@@ -7,11 +7,11 @@ exact values for finite-state stationary Markov chains (total-variation
 reduction) and brute-force lower bounds from direct event enumeration. Drivers
 built from independent draws get exact zeros.
 
-A finite Markov chain steps state to state; its path is scanned forward from
-the nearest state kept at a multiple of _STRIDE, so no draw replays the path
-from index 1. The symmetric two-state chain keeps its own coupling (flip iff
-u < p) rather than the general step searchsorted(cum[state], u), so that its
-sample paths stay as they are until one change re-pins the outputs it drives.
+A finite Markov chain steps state to state by one rule: from state i, the
+uniform u picks the first of i+1, i+2, .., i-1, i (mod s) whose cumulative
+transition probability exceeds u, so a path moves continuously with the
+transition matrix. Its path is scanned forward from the nearest state kept at
+a multiple of _STRIDE, so no draw replays the path from index 1.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ class Law:
     b: float = 0.0
     values: tuple[float, ...] = ()
     weights: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, *self.values, *self.weights))):
+            raise ValueError("law parameters must be finite")
 
     @staticmethod
     def uniform(low: float, high: float) -> "Law":
@@ -133,7 +137,9 @@ class ScalarDriver:
       m_dependent    moving average of m+1 independent base draws; index k
                      depends only on base draws k-m..k
       finite_markov  stationary finite chain (row-stochastic `transition`,
-                     stationary `stationary`), emitting `emissions[state]`
+                     stationary `stationary`), emitting `emissions[state]`;
+                     from state i a uniform u steps to the first of i+1, ..,
+                     i-1, i (mod s) whose cumulative probability exceeds u
       alternating    independent draws, law_even at even 1-based indices and
                      law_odd at odd ones; the two laws must share their mean
     """
@@ -154,6 +160,8 @@ class ScalarDriver:
             _check_stationary(P, pi)
             if len(self.emissions) != len(self.stationary):
                 raise ValueError("need one emission value per state")
+            if not np.isfinite(self.emissions).all():
+                raise ValueError("emissions must be finite")
         elif self.family == "alternating":
             if self.law is None or self.law_odd is None:
                 raise ValueError("alternating driver needs both laws")
@@ -189,6 +197,8 @@ class ScalarDriver:
 def _check_stationary(P: np.ndarray, pi: np.ndarray):
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("transition matrix must be square")
+    if not (np.isfinite(P).all() and np.isfinite(pi).all()):
+        raise ValueError("transition and stationary entries must be finite")
     if np.any(P < -1e-15) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("transition matrix must be row-stochastic")
     if abs(pi.sum() - 1.0) > 1e-10 or np.max(np.abs(pi @ P - pi)) > 1e-10:
@@ -255,32 +265,40 @@ class _KeptChain:
     """One chain's step rule and, for one seed, its states kept at every
     multiple of _STRIDE (kept[k] is the state at 0-based index k * _STRIDE)."""
 
-    __slots__ = ("cum", "flip", "kept")
+    __slots__ = ("cum", "nxt", "kept")
 
     def __init__(self, transition, stationary, seed: int):
         P = np.asarray(transition, dtype=float)
         pi = np.asarray(stationary, dtype=float)
         u0 = uniform_block(seed, STREAM_DRIVER_INIT, 0, 1)[0]
         self.kept = [int(np.searchsorted(np.cumsum(pi), u0, side="right").clip(0, len(pi) - 1))]
-        self.cum = np.cumsum(P, axis=1)
-        # symmetric two-state chain: its own coupling, a flip iff u < p
-        self.flip = P[0, 1] if P.shape[0] == 2 and abs(P[0, 1] - P[1, 0]) <= 1e-15 else None
+        # row i: next states i+1, .., i-1, i, cumulative probabilities ending in inf
+        i = np.arange(len(P))[:, None]
+        self.nxt = (i + i.T + 1) % len(P)
+        self.cum = np.cumsum(P[i, self.nxt], axis=1)
+        self.cum[:, -1] = np.inf
 
     def walk(self, x: int, u: np.ndarray) -> np.ndarray:
         """States x, x_1, .., x_m after the steps driven by u_1..u_m."""
-        if self.flip is not None:
-            return np.concatenate([[x], x ^ (np.cumsum(u < self.flip) & 1)])
-        # Blocked scan over the step maps f_k(i) = searchsorted(cum[i], u_k):
-        # walk every start state through all chunks of L steps at once, then
-        # chain the chunk ends from x. L Python steps plus m / L list steps.
         s, m, x0 = self.cum.shape[0], len(u), x
+        if s == 2:
+            # i leaves iff u < cum[i, 0], so a step swaps below both thresholds, keeps above
+            # both, sets between; a running max over 2k + set state at step k finds the last
+            a, b = self.cum[:, 0]
+            par = np.concatenate([[0], np.logical_xor.accumulate(u < min(a, b))])
+            sets = (u >= min(a, b)) & (u < max(a, b))
+            if not sets.any():
+                return x ^ par
+            enc = np.where(sets, np.arange(2, 2 * m + 2, 2) | (par[1:] ^ (a > b)), 0)
+            return np.maximum.accumulate(np.concatenate([[x], enc])) & 1 ^ par
+        # Blocked scan: walk every start state through all chunks of L steps
+        # at once, then chain the chunk ends from x: L + m / L Python steps.
         L = max(1, math.isqrt(m >> 5))
         nc = -(-m // L)
         maps = np.empty((nc * L, s), dtype=np.intp)
         for i in range(s):
-            maps[:m, i] = np.searchsorted(self.cum[i], u, side="right")
+            maps[:m, i] = self.nxt[i][np.searchsorted(self.cum[i], u, side="right")]
         maps[m:] = np.arange(s)  # identity steps pad the last chunk
-        np.minimum(maps, s - 1, out=maps)
         maps = maps.reshape(nc, L, s)
         rows = np.arange(nc)[:, None]
         paths = np.empty((L, nc, s), dtype=np.intp)

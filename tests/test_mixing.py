@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randset import mixing
 from randset.mixing import (
@@ -89,13 +89,51 @@ def test_markov_stationarity_checked():
         markov_driver(P_SYM, [0.9, 0.1], [-1.0, 1.0])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("transition, stationary, emissions", [
+    ([[NAN, 1.0], [0.5, 0.5]], [0.5, 0.5], [0.0, 1.0]),
+    (P_SYM, [NAN, 0.5], [0.0, 1.0]),
+    (P_SYM, PI_SYM, [0.0, NAN]),
+    (P_SYM, PI_SYM, [INF, 1.0]),
+], ids=["transition", "stationary", "emission_nan", "emission_inf"])
+def test_markov_driver_rejects_non_finite_entries(transition, stationary, emissions):
+    with pytest.raises(ValueError, match="finite"):
+        markov_driver(transition, stationary, emissions)
+
+
+@pytest.mark.parametrize("phi", [
+    lambda P, pi: phi_exact_markov(P, pi, 1),
+    lambda P, pi: phi_brute_force(P, pi, 1, 1, 1),
+], ids=["exact", "brute_force"])
+def test_phi_rejects_non_finite_chains(phi):
+    with pytest.raises(ValueError, match="finite"):
+        phi([[NAN, 1.0], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        phi(P_SYM, [0.5, NAN])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Law.uniform(NAN, 1.0),
+    lambda: Law.uniform(0.0, INF),
+    lambda: Law.normal(0.0, NAN),
+    lambda: Law.constant(INF),
+    lambda: Law.choice((0.0, 1.0), (NAN, 1.0)),
+    lambda: Law.choice((0.0, NAN)),
+], ids=["uniform_low", "uniform_high", "normal_sd", "constant", "choice_weight", "choice_value"])
+def test_law_rejects_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_markov_empirical_stationarity():
     d = sym_driver(seed=5)
     xs = draw_sequence(d, 200_000)
     assert abs(xs.mean()) < 0.03  # effective variance factor (1+.8)/(1-.8) = 9
-    # flips happen with probability 0.1
-    flips = np.mean(xs[:-1] != xs[1:])
-    assert abs(flips - 0.1) < 0.01
+    # the state changes with probability 0.1 at each step
+    changes = np.mean(xs[:-1] != xs[1:])
+    assert abs(changes - 0.1) < 0.01
 
 
 def test_general_markov_loop_path():
@@ -110,27 +148,68 @@ def test_general_markov_loop_path():
 # Markov paths against the scalar loop
 
 
+def reference_walk(P, x, u):
+    """One step per uniform: from state i, u picks the first of i+1, .., i-1, i
+    (mod s) whose cumulative transition probability exceeds it, else i."""
+    P = np.asarray(P, dtype=float).tolist()
+    s, states = len(P), [x]
+    for v in np.asarray(u).tolist():
+        acc = 0.0
+        for r in range(1, s + 1):
+            nxt = (x + r) % s
+            acc += P[x][nxt]
+            if v < acc:
+                break
+        x = nxt
+        states.append(x)
+    return np.array(states, dtype=np.int64)
+
+
 def reference_states(driver, seed, n):
-    """The one-step-per-index loop the scan replaced, symmetric shortcut
-    included: states for 1-based indices 1..n, replayed from index 1."""
-    P = np.asarray(driver.transition, dtype=float)
+    """States for 1-based indices 1..n, replayed from index 1 by the loop."""
     pi = np.asarray(driver.stationary, dtype=float)
     u0 = uniform_block(seed, STREAM_DRIVER_INIT, 0, 1)[0]
     s0 = int(np.searchsorted(np.cumsum(pi), u0, side="right").clip(0, len(pi) - 1))
     u = uniform_block(seed, STREAM_DRIVER, 0, n - 1) if n > 1 else np.empty(0)
-    s = P.shape[0]
-    if s == 2 and abs(P[0, 1] - P[1, 0]) <= 1e-15:
-        flips = (u < P[0, 1]).astype(np.int64)
-        parity = np.concatenate([[0], np.cumsum(flips) & 1])
-        return s0 ^ parity
-    cum = np.cumsum(P, axis=1)
-    states = np.empty(n, dtype=np.int64)
-    states[0] = s0
-    cur = s0
-    for k in range(1, n):
-        cur = int(np.searchsorted(cum[cur], u[k - 1], side="right").clip(0, s - 1))
-        states[k] = cur
-    return states
+    return reference_walk(driver.transition, s0, u)
+
+
+# thresholds p = P[0][1] and q = P[1][0]; "p" and "q" in u stand for a uniform
+# equal to that threshold
+ENTRY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+UNIFORMS = st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(["p", "q"]), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@example(p=0.3, q=0.3, x=0, u=["p", 0.1, 0.5, "q", 0.29])  # p = q
+@example(p=0.25, q=0.75, x=1, u=["p", "q", 0.5, 0.1, 0.8, 0.3])  # p + q = 1
+@example(p=0.9, q=0.6, x=0, u=["q", "p", 0.7, 0.95, 0.1, 0.7, 0.2])  # p + q > 1
+@example(p=0.2, q=0.2, x=1, u=[0.1, 0.1, 0.5] * 3)  # identical rows
+@example(p=0.0, q=1.0, x=0, u=["p", 0.5, "p", 0.999])
+@example(p=1.0, q=0.0, x=1, u=["q", 0.0, 0.5])
+@example(p=1.0, q=1.0, x=0, u=[0.0, 0.999, 0.5])
+@example(p=0.0, q=0.0, x=1, u=["p", 0.0, 0.5])
+@given(p=ENTRY, q=ENTRY, x=st.integers(0, 1), u=UNIFORMS)
+def test_two_state_walk_matches_loop(p, q, x, u):
+    P = ((1.0 - p, p), (q, 1.0 - q))
+    u = np.array([{"p": p, "q": q}.get(v, v) for v in u], dtype=float)
+    chain = mixing._KeptChain(P, (0.5, 0.5), 0)
+    assert np.array_equal(chain.walk(x, u), reference_walk(P, x, u))
+
+
+def test_two_state_path_is_continuous_in_the_transition_matrix():
+    # the bundled chain beside the same chain with P[1][0] moved by 1e-13
+    moved = markov_driver([[0.9, 0.1], [0.1 + 1e-13, 0.9]], PI_SYM, [-1.0, 1.0])
+    assert np.array_equal(draw_sequence(moved, 100_000, 1), draw_sequence(sym_driver(), 100_000, 1))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.65])
+def test_symmetric_chain_leaves_iff_u_below_p(p):
+    d = markov_driver([[1.0 - p, p], [p, 1.0 - p]], [0.5, 0.5], [0.0, 1.0])
+    n = 2 * mixing._BLOCK + 3  # across two block boundaries
+    x = int(uniform_block(3, STREAM_DRIVER_INIT, 0, 1)[0] >= 0.5)
+    parity = np.cumsum(uniform_block(3, STREAM_DRIVER, 0, n - 1) < p) & 1
+    assert np.array_equal(draw_sequence(d, n, 3), x ^ np.concatenate([[0], parity]))
 
 
 def reference_checkpoint_means(draws, checkpoints):
@@ -247,17 +326,19 @@ def test_markov_checkpoint_means_match_loop(d, seed, cps):
 
 
 def test_markov_paths_match_loop_at_real_block_sizes():
-    # one fixed example at mixing's own _STRIDE and _BLOCK
+    # fixed examples at mixing's own _STRIDE and _BLOCK: three states, and two
+    # states with P[0][1] + P[1][0] > 1
     real = edges(mixing._STRIDE, mixing._BLOCK)
-    d = markov_driver([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]], [1 / 3, 1 / 3, 1 / 3], [-1.0, 0.5, 2.0])
-    ref = reference_draws(d, 5, real[-1] + 2)
-    mixing._kept_chain.cache_clear()
-    check_draw_sequence(d, 5, real)
-    mixing._kept_chain.cache_clear()
-    calls = [((d, 5), i) for i in (real[-1], *real)]  # the first call keeps every stride's state
-    check_draw_at(calls, {(d, 5): ref}, d, 5)
-    mixing._kept_chain.cache_clear()
-    check_checkpoint_means(d, 5, real[::3], ref)
+    for d in (markov_driver([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]], [1 / 3, 1 / 3, 1 / 3], [-1.0, 0.5, 2.0]),
+              markov_driver([[0.2, 0.8], [0.6, 0.4]], [3 / 7, 4 / 7], [-1.0, 2.0])):
+        ref = reference_draws(d, 5, real[-1] + 2)
+        mixing._kept_chain.cache_clear()
+        check_draw_sequence(d, 5, real)
+        mixing._kept_chain.cache_clear()
+        calls = [((d, 5), i) for i in (real[-1], *real)]  # the first call keeps every stride's state
+        check_draw_at(calls, {(d, 5): ref}, d, 5)
+        mixing._kept_chain.cache_clear()
+        check_checkpoint_means(d, 5, real[::3], ref)
 
 
 def count_driver_draws(monkeypatch):
