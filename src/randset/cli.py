@@ -416,7 +416,7 @@ def _run_expansion(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str,
     for s in cfg.seeds:
         sn = exact_cell_expansion(cfg.spec, cfg.n_max, s)
         (out / f"cells_seed{s}.txt").write_text(format_set_union(sn))
-        per_seed.append({"seed": s, "cell_count": len(sn.cells)})
+        per_seed.append({"seed": s, "cell_count": sn.cell_count})
     return "ok", {"experiment": cfg.experiment, "verdict": "ok", "n": cfg.n_max, "per_seed": per_seed}
 
 

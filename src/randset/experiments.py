@@ -1,8 +1,9 @@
 """Experiment orchestration for set-valued averaging.
 
 Hausdorff trajectories for the bounded families, exact Minkowski averages
-S_1..S_n summed in one pass over `processes._sets` per seed (translate groups
-for the point and ray families), halo containment certificates, ray-sector
+S_1..S_n summed in one pass over `processes._sets` per seed (the point and ray
+families sum as translate-group arrays of `SetUnion`, with no cell objects on
+the way to the cells file), halo containment certificates, ray-sector
 tracking with Kuratowski-Mosco failure certificates, distance-proxy K-M
 diagnostics, and a combined hypotheses report covering the three convergence
 conditions (mixing summability, selection second moments, support second
@@ -22,16 +23,11 @@ import numpy as np
 
 from .geometry import (
     SetUnion,
-    _cell_sum,
+    _minkowski_sum,
     cell_distances,
-    check_cell_budget,
     point_cell,
     point_to_union_distance,
     scale,
-    translate_distance,
-    translate_sum,
-    translate_union,
-    union_of,
     vnorm,
 )
 from .mixing import PhiProfile, checkpoint_means, summability_report
@@ -40,6 +36,7 @@ from .processes import (
     SetProcessSpec,
     _draws,
     _sets,
+    clamped_mean,
     expectation,
     selection_moment_series,
     support_moment_series,
@@ -140,10 +137,11 @@ def run_hausdorff_slln(
     if target not in ("A", "coA"):
         raise ValueError("target must be 'A' or 'coA'")
     checkpoints = [int(c) for c in checkpoints]
-    mu = spec.driver.mean
+    ball = spec.family == "random_ball"  # radii clamped at 0, as `sample_set` clamps them
+    mu = clamped_mean(spec.driver) if ball else spec.driver.mean
     out = []
     for seed in seeds:
-        means = checkpoint_means(spec.driver, n_max, checkpoints, seed)
+        means = checkpoint_means(spec.driver, n_max, checkpoints, seed, clamp=ball)
         values = []
         for cp, m in zip(checkpoints, means):
             if spec.family == "two_point":
@@ -168,32 +166,17 @@ def run_hausdorff_slln(
 
 def _prefix_sums(spec: SetProcessSpec, n: int, seed: int, cell_budget: int | None = None):
     """Yield (k, X_1 + ... + X_k) for k = 1..n of one (spec, seed), unscaled;
-    `_mean` turns one into S_k.
+    S_k is `scale(1 / k, ...)` of one.
 
-    The translate families (needle_halo, two_point, random_ray) keep the
-    running sum as a translate group: a step is one broadcast add per pair of
-    groups and one exact row dedup. segment and random_ball sum their one cell
-    with `_cell_sum`. Each step checks the cell budget on the product of the
-    two cell counts, as `minkowski_sum` does.
+    The point and ray families (needle_halo, two_point, random_ray) sum as
+    translate groups: a step is one broadcast add per pair of cones and one
+    exact row dedup. Each step checks the cell budget on the product of the
+    two cell counts.
     """
     total = None
     for k, x in enumerate(_sets(spec, 1, n, seed), 1):
-        group = isinstance(x, dict)
-        if total is None:
-            total = x
-        else:
-            check_cell_budget(sum(map(len, total.values())) * sum(map(len, x.values())) if group else 1, cell_budget)
-            total = translate_sum(total, x) if group else _cell_sum(total, x)
+        total = x if total is None else _minkowski_sum(total, x, cell_budget)
         yield k, total
-
-
-def _mean(total, k: int):
-    """S_k = (1/k) * total: a translate group whose rows `translate_union`
-    deduplicates again, as `scale` does, or a SetUnion."""
-    lam = 1.0 / k
-    if isinstance(total, dict):
-        return {cone: A * lam + 0.0 for cone, A in total.items()}
-    return scale(lam, union_of([total]))
 
 
 def exact_cell_expansion(spec: SetProcessSpec, n: int, seed: int, cell_budget: int | None = None) -> SetUnion:
@@ -207,8 +190,7 @@ def exact_cell_expansion(spec: SetProcessSpec, n: int, seed: int, cell_budget: i
         raise ValueError("n is 1-based")
     for k, total in _prefix_sums(spec, n, seed, cell_budget):
         pass
-    sn = _mean(total, k)
-    return sn if isinstance(sn, SetUnion) else translate_union(sn)
+    return scale(1.0 / k, total)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +213,7 @@ def halo_certificates(spec: SetProcessSpec, n_max: int, seed: int) -> list[tuple
         raise ValueError("n is 1-based")
     rows = []
     for n, total in _prefix_sums(spec, n_max, seed):
-        groups = _mean(total, n)
+        groups = scale(1.0 / n, total).groups
         r_n = harmonic_halo_radius(n)
         rays = groups.get(AXIS_RAY.cone)
         a_inside = rays is not None and bool((rays == 0.0).all(axis=1).any())
@@ -434,16 +416,16 @@ def _finish_km(probe_rows, excess, methods, probes, checkpoints, window_radius, 
 
 def _km_needle(spec, probes, R, checkpoints, seed, tolerance, cell_budget_n):
     n_exact = max((cp for cp in checkpoints if cp <= cell_budget_n), default=0)
-    at = {k: _mean(total, k) for k, total in _prefix_sums(spec, n_exact, seed) if k in checkpoints}
+    at = {k: scale(1.0 / k, total) for k, total in _prefix_sums(spec, n_exact, seed) if k in checkpoints}
     probe_rows = [[] for _ in probes]
     excess, methods = [], []
     for cp in checkpoints:
         if cp <= cell_budget_n:
             for i, p in enumerate(probes):
-                probe_rows[i].append(translate_distance(p, at[cp]))
+                probe_rows[i].append(point_to_union_distance(p, at[cp]))
             # every cell is a translated ray or the leftover point; the sup of
             # d(., axis ray) over a rightward ray translate sits at its vertex
-            excess.append(max(float(cell_distances(A, AXIS_RAY).max()) for A in at[cp].values()))
+            excess.append(max(float(cell_distances(A, AXIS_RAY).max()) for A in at[cp].groups.values()))
             methods.append("exact_cells")
         else:
             for i in range(len(probes)):
@@ -475,8 +457,9 @@ def _km_ray(spec, probes, R, n_max, checkpoints, seed, tolerance):
 
 
 def _km_bounded(spec, probes, R, checkpoints, seed, tolerance):
-    means = checkpoint_means(spec.driver, checkpoints[-1], checkpoints, seed)
-    mu = spec.driver.mean
+    ball = spec.family == "random_ball"
+    mu = clamped_mean(spec.driver) if ball else spec.driver.mean
+    means = checkpoint_means(spec.driver, checkpoints[-1], checkpoints, seed, clamp=ball)
     probe_rows = [[] for _ in probes]
     excess, methods = [], []
     for cp, m in zip(checkpoints, means):

@@ -11,14 +11,17 @@ All types are immutable values; every operation is a pure function, so sharing
 across worker processes is safe. Cells are built in canonical form (extreme
 vertices, unit extreme rays, no -0.0), and that form is a fixed point: a cell
 rebuilt from its own fields by `poly_cell` or `ball_cell` is equal to it bit
-for bit, so structural equality is the cell's identity. `union_of` keeps one
-cell per value and orders cells by a numeric key; `_cell_line` is
-serialization only, and `format_set_union` sorts its lines.
+for bit, so structural equality is the cell's identity.
 
-Unions of point and ray cells, and their sums, also have an array form, the
-translate group (`translate_sum`): one (m, d) vertex array per cone. Distances
-to point and ray cells run through one batched kernel (`cell_distances`,
-`translate_distance`) that rounds as the scalar functions do.
+A `SetUnion` has one form. Its one-vertex cells (points, translated rays and
+sectors) are a translate group: one (m, d) array of distinct vertices per
+cone, so sums of such unions are broadcast adds (`translate_sum`) and their
+cell lines are written straight from the rows. Every other cell is kept as a
+`ConvexCell`, one per value, in numeric key order. The tuple of all cells,
+`SetUnion.cells`, is built only when asked for. `_cell_line` is serialization
+only, and `format_set_union` sorts its lines. Distances to point and ray cells
+run through one batched kernel (`cell_distances`, `point_to_union_distance`)
+that rounds as the scalar functions do.
 """
 
 from __future__ import annotations
@@ -437,35 +440,88 @@ def interval_cell(lo: float, hi: float) -> ConvexCell:
 # unions
 
 
-@dataclass(frozen=True)
+def _cone_key(cone: Cone):
+    return (cone.full_space, cone.generators)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SetUnion:
-    cells: tuple[ConvexCell, ...]
+    """A finite union of convex cells, held in one canonical form.
+
+    `groups` is the translate group: it maps a canonical cone to an (m, d)
+    array of vertices, sorted and distinct by value, and stands for the cells
+    vertex + cone, one per row. Every one-vertex polytope cell lives there.
+    `others` holds every other cell (segments, polygons, balls), distinct and
+    in `_cell_key` order. Equality, hashing and `repr` are by value.
+    """
+
+    groups: dict
+    others: tuple[ConvexCell, ...] = ()
+
+    def __post_init__(self):
+        for A in self.groups.values():
+            A.flags.writeable = False
+        if len(self.groups) > 1:
+            object.__setattr__(self, "groups", dict(sorted(self.groups.items(), key=lambda kv: _cone_key(kv[0]))))
+
+    @cached_property
+    def _value(self):
+        return tuple((cone, A.tobytes()) for cone, A in self.groups.items()), self.others  # a cone fixes d
+
+    def __eq__(self, other):
+        return self._value == other._value if isinstance(other, SetUnion) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._value)
+
+    def __repr__(self):
+        groups = ", ".join(f"{cone!r}: {tuple(map(tuple, A.tolist()))!r}" for cone, A in self.groups.items())
+        return f"SetUnion(groups={{{groups}}}, others={self.others!r})"
 
     @property
     def dim(self) -> int:
-        return self.cells[0].dim
+        return next(iter(self.groups)).dim if self.groups else self.others[0].dim
+
+    @property
+    def cell_count(self) -> int:
+        return sum(map(len, self.groups.values())) + len(self.others)
 
     @property
     def is_bounded(self) -> bool:
-        return all(c.is_bounded for c in self.cells)
+        return all(cone.is_trivial for cone in self.groups) and all(c.is_bounded for c in self.others)
+
+    @cached_property
+    def cells(self) -> tuple[ConvexCell, ...]:
+        """Every cell as a `ConvexCell`, in `_cell_key` order; built on first use."""
+        rows = [c for cone, A in self.groups.items() for c in _row_cells(cone, A)]
+        return tuple(sorted(rows + list(self.others), key=_cell_key))
 
     @cached_property
     def _stack(self):
-        """`_stack_cells` of the cells, built on the first support query."""
-        return _stack_cells(self.cells)
+        """`_stack_cells` of the union, built on the first support query."""
+        return _stack_cells(self.others, self.groups)
 
-    @cached_property
-    def _translates(self):
-        """(group, others) for `point_to_union_distance`: the point and ray
-        cells as a translate group, and every other cell; built on the first
-        query."""
-        group, others = {}, []
-        for c in self.cells:
-            if _is_point_or_ray(c):
-                group.setdefault(c.cone, []).append(c.base.vertices[0])
-            else:
-                others.append(c)
-        return {cone: np.array(v) for cone, v in group.items()}, others
+
+def _row_cells(cone: Cone, A: np.ndarray) -> list[ConvexCell]:
+    """The cells vertex + cone, one per row of A."""
+    return [ConvexCell(base=Polytope(vertices=(tuple(v),)), cone=cone) for v in A.tolist()]
+
+
+def _union(groups: dict, cells) -> SetUnion:
+    """The canonical union of the rows of `groups` and of `cells`: one-vertex
+    cells join the rows of their cone, the rows are deduplicated by value, and
+    the other cells are deduplicated by value and sorted."""
+    rows = {cone: [A] for cone, A in groups.items()}
+    verts, others = {}, set()
+    for c in cells:
+        if isinstance(c.base, Polytope) and len(c.base.vertices) == 1:
+            verts.setdefault(c.cone, []).append(c.base.vertices[0])
+        else:
+            others.add(c)
+    for cone, v in verts.items():
+        rows.setdefault(cone, []).append(np.array(v))
+    return SetUnion({cone: _unique_rows(np.concatenate(parts)) for cone, parts in rows.items()},
+                    tuple(sorted(others, key=_cell_key)))
 
 
 def union_of(cells) -> SetUnion:
@@ -475,18 +531,28 @@ def union_of(cells) -> SetUnion:
     d = cells[0].dim
     if any(c.dim != d for c in cells):
         raise ValueError("mixed dimensions in one union")
-    return SetUnion(cells=tuple(sorted(set(cells), key=_cell_key)))
+    return _union({}, cells)
 
 
 def _cell_key(cell: ConvexCell):
     """Numeric sort key, distinct for distinct cells: balls, then polytopes."""
     b = cell.base
     base = (0, (b.center,), b.radius) if isinstance(b, Ball) else (1, b.vertices, 0.0)
-    return base + (cell.cone.full_space, cell.cone.generators)
+    return base + _cone_key(cell.cone)
 
 
 def point_union(points) -> SetUnion:
-    return union_of(point_cell(p) for p in points)
+    """`union_of(point_cell(p) for p in points)`, canonicalised as one array.
+    Input that is not a finite (m, d) array with 1 <= d <= 3 goes through
+    that expression, so it raises the same error."""
+    points = list(points)
+    try:
+        P = np.array(points, dtype=float)
+    except (TypeError, ValueError):
+        P = None
+    if P is None or P.ndim != 2 or not 1 <= P.shape[1] <= 3 or not np.isfinite(P).all():
+        return union_of(point_cell(p) for p in points)
+    return SetUnion({Cone.trivial(P.shape[1]): _unique_rows(P + 0.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -501,20 +567,30 @@ def _fmt_vec(v) -> str:
     return "(" + ",".join(_fmt(c) for c in v) + ")"
 
 
+def _cone_suffix(cone: Cone) -> str:
+    if cone.full_space:
+        return " cone full"
+    if cone.generators:
+        return " cone g=" + ";".join(_fmt_vec(g) for g in cone.generators)
+    return ""
+
+
 def _cell_line(cell: ConvexCell) -> str:
     if isinstance(cell.base, Polytope):
         base = "poly v=" + ";".join(_fmt_vec(v) for v in cell.base.vertices)
     else:
         base = f"ball c={_fmt_vec(cell.base.center)} r={_fmt(cell.base.radius)}"
-    if cell.cone.full_space:
-        return f"CELL {base} cone full"
-    if cell.cone.generators:
-        return f"CELL {base} cone g=" + ";".join(_fmt_vec(g) for g in cell.cone.generators)
-    return f"CELL {base}"
+    return f"CELL {base}" + _cone_suffix(cell.cone)
 
 
 def format_set_union(u: SetUnion) -> str:
-    return "\n".join(sorted(_cell_line(c) for c in u.cells)) + "\n"
+    """One `_cell_line` per cell, sorted; a translate-group row is written
+    straight from the array ("%.17g" formats as `_fmt` does)."""
+    lines = [_cell_line(c) for c in u.others]
+    for cone, A in u.groups.items():
+        line = "CELL poly v=(" + ",".join(["%.17g"] * A.shape[1]) + ")" + _cone_suffix(cone)
+        lines += [line % tuple(v) for v in A.tolist()]
+    return "\n".join(sorted(lines)) + "\n"
 
 
 def _parse_vec(text: str):
@@ -567,17 +643,22 @@ def _cell_sum(a: ConvexCell, b: ConvexCell) -> ConvexCell:
     raise UnsupportedCellCombination("polytope base (+) ball base is not supported")
 
 
-def check_cell_budget(n_out: int, cell_budget: int | None = None):
-    """Raise CellBudgetExceeded when a sum of n_out cells exceeds the budget."""
-    budget = DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
-    if n_out > budget:
-        raise CellBudgetExceeded(f"{n_out} cells would exceed the budget of {budget}")
-
-
 def minkowski_sum(a: SetUnion, b: SetUnion, cell_budget: int | None = None) -> SetUnion:
+    return _minkowski_sum(a, b, cell_budget)
+
+
+def _minkowski_sum(a: SetUnion, b: SetUnion, cell_budget: int | None = None) -> SetUnion:
+    """The sum behind `minkowski_sum`: two translate groups add as arrays
+    (`translate_sum`), any other pair cell by cell. Expansion steps call it
+    directly, so that bench/tracer.py, which wraps `minkowski_sum` and reads
+    the `.cells` of its operands, neither times each step nor builds cells."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    check_cell_budget(len(a.cells) * len(b.cells), cell_budget)
+    budget = DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
+    if a.cell_count * b.cell_count > budget:
+        raise CellBudgetExceeded(f"{a.cell_count * b.cell_count} cells would exceed the budget of {budget}")
+    if not a.others and not b.others:
+        return SetUnion(translate_sum(a.groups, b.groups))
     return union_of(_cell_sum(ca, cb) for ca, cb in product(a.cells, b.cells))
 
 
@@ -587,9 +668,14 @@ def scale(lam: float, a: SetUnion) -> SetUnion:
     if lam < 0:
         raise NegativeScale("scaling factor must be nonnegative")
     if lam == 0:
-        return union_of([point_cell(tuple(0.0 for _ in range(a.dim)))])
+        return point_union([(0.0,) * a.dim])
+    with np.errstate(over="ignore"):
+        groups = {cone: A * lam + 0.0 for cone, A in a.groups.items()}  # + 0.0: no -0.0, as in as_vector
+    for A in groups.values():
+        if not np.isfinite(A).all():
+            as_vector(A[~np.isfinite(A).all(axis=1)][0].tolist())  # raises as a scaled cell does
     cells = []
-    for c in a.cells:
+    for c in a.others:
         if isinstance(c.base, Polytope):
             verts = [as_vector(vscale(lam, v)) for v in c.base.vertices]
             if any(_close(u, w) for u, w in combinations(verts, 2)):
@@ -599,7 +685,7 @@ def scale(lam: float, a: SetUnion) -> SetUnion:
         else:
             base = Ball(center=as_vector(vscale(lam, c.base.center)), radius=lam * c.base.radius)
         cells.append(ConvexCell(base=base, cone=c.cone))
-    return union_of(cells)
+    return _union(groups, cells)
 
 
 def convex_hull(a: SetUnion) -> ConvexCell:
@@ -616,7 +702,7 @@ def convex_hull(a: SetUnion) -> ConvexCell:
 
 
 # ---------------------------------------------------------------------------
-# translate groups: unions of point and ray cells (and their sums) as arrays
+# translate groups: the one-vertex cells of a union, as one array per cone
 
 _ROW_SCALARS = {1: np.float64, 2: np.complex128}  # a row as one scalar that sorts lexicographically
 
@@ -653,13 +739,6 @@ def translate_sum(a: dict, b: dict) -> dict:
     return {cone: _unique_rows(np.concatenate(parts)) for cone, parts in out.items()}
 
 
-def translate_union(groups: dict) -> SetUnion:
-    """The union of the cells of a translate group, through `union_of`."""
-    return union_of(
-        ConvexCell(base=Polytope(vertices=(tuple(v),)), cone=cone) for cone, A in groups.items() for v in A.tolist()
-    )
-
-
 # ---------------------------------------------------------------------------
 # support functions
 
@@ -677,17 +756,22 @@ def _coord_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _stack_cells(cells):
-    """(points, n_verts, radii, full_space) of `cells` for `_support_rows`.
+def _stack_cells(cells, groups=None):
+    """(points, n_verts, radii, full_space) of `cells` and of the cells of a
+    translate group, for `_support_rows`.
 
-    points stacks the polytope vertices, then the ball centres (radii in the
-    same order), then the cone generators.
+    points stacks the group rows and the polytope vertices, then the ball
+    centres (radii in the same order), then the cone generators, each cone's
+    once: a support value is a max, so neither order nor repeats change it.
     """
+    groups = groups or {}
     verts = [v for c in cells if isinstance(c.base, Polytope) for v in c.base.vertices]
     balls = [c.base for c in cells if isinstance(c.base, Ball)]
-    gens = [g for c in cells for g in c.cone.generators]
-    points = np.array(verts + [b.center for b in balls] + gens)
-    return points, len(verts), np.array([b.radius for b in balls]), any(c.cone.full_space for c in cells)
+    cones = [c.cone for c in cells] + list(groups)
+    rest = np.array(verts + [b.center for b in balls] + [g for k in cones for g in k.generators])
+    points = np.concatenate([*groups.values(), rest.reshape(-1, cones[0].dim)]) if groups else rest
+    n_verts = sum(map(len, groups.values())) + len(verts)
+    return points, n_verts, np.array([b.radius for b in balls]), any(k.full_space for k in cones)
 
 
 def _support_rows(U: np.ndarray, stack) -> np.ndarray:
@@ -852,11 +936,11 @@ def point_to_cell_distance(p, cell: ConvexCell) -> float:
 
 def _is_point_or_ray(cell: ConvexCell) -> bool:
     """One vertex plus a trivial or one-generator cone."""
-    return (
-        isinstance(cell.base, Polytope)
-        and len(cell.base.vertices) == 1
-        and (cell.cone.is_trivial or len(cell.cone.generators) == 1)
-    )
+    return isinstance(cell.base, Polytope) and len(cell.base.vertices) == 1 and _is_ray_cone(cell.cone)
+
+
+def _is_ray_cone(cone: Cone) -> bool:
+    return cone.is_trivial or len(cone.generators) == 1
 
 
 def _translate_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
@@ -887,22 +971,20 @@ def cell_distances(points, cell: ConvexCell) -> np.ndarray:
     return _translate_distances(np.asarray(points, dtype=float), np.array(cell.base.vertices[0]), cell.cone)
 
 
-def translate_distance(p, groups: dict) -> float:
-    """point_to_union_distance(p, translate_union(groups)), bit for bit, for a
-    translate group of points and rays, without building the union; any other
-    cone raises UnsupportedCellCombination."""
-    if any(not (cone.is_trivial or len(cone.generators) == 1) for cone in groups):
-        raise UnsupportedCellCombination("batched distances need point and ray cells")
-    P = np.array(as_vector(p, next(iter(groups)).dim))
-    return min(float(_translate_distances(P, V, cone).min()) for cone, V in groups.items())
-
-
 def point_to_union_distance(p, u: SetUnion) -> float:
-    """The least point_to_cell_distance over the cells, bit for bit; the point
-    and ray cells go through `translate_distance`."""
+    """The least point_to_cell_distance over the cells, bit for bit. Point and
+    ray rows of the translate group go through the batched kernel; the other
+    cells, balls first, one at a time, so the first cell that raises is the
+    one the cell loop would meet first."""
     p = as_vector(p, u.dim)
-    groups, others = u._translates
-    return min(([translate_distance(p, groups)] if groups else []) + [point_to_cell_distance(p, c) for c in others])
+    cells = list(u.others)
+    out = []
+    for cone, A in u.groups.items():
+        if _is_ray_cone(cone):
+            out.append(float(_translate_distances(np.array(p), A, cone).min()))
+        else:
+            cells += _row_cells(cone, A)
+    return min(out + [point_to_cell_distance(p, c) for c in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -910,8 +992,8 @@ def point_to_union_distance(p, u: SetUnion) -> float:
 
 
 def _cells_as_intervals(u: SetUnion):
-    out = []
-    for c in u.cells:
+    out = [(x, x) for A in u.groups.values() for x in A[:, 0].tolist()]  # points: d = 1 and bounded
+    for c in u.others:
         if isinstance(c.base, Ball):
             out.append((c.base.center[0] - c.base.radius, c.base.center[0] + c.base.radius))
         else:
@@ -946,18 +1028,14 @@ def _hausdorff_1d(a: SetUnion, b: SetUnion) -> float:
     return max(_directed_intervals(ai, bi), _directed_intervals(bi, ai))
 
 
-def _all_points(u: SetUnion):
-    pts = []
-    for c in u.cells:
-        if not c.is_point:
-            return None
-        pts.append(c.base.vertices[0])
-    return pts
+def _point_rows(u: SetUnion):
+    """The (m, d) array of u's points when u is a finite point set, else None."""
+    if u.others or len(u.groups) != 1 or not next(iter(u.groups)).is_trivial:
+        return None
+    return next(iter(u.groups.values()))
 
 
-def _hausdorff_points(pa, pb) -> float:
-    A = np.array(pa, dtype=float)
-    B = np.array(pb, dtype=float)
+def _hausdorff_points(A: np.ndarray, B: np.ndarray) -> float:
     d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
     d = np.sqrt(d2)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
@@ -996,10 +1074,10 @@ def hausdorff(a: SetUnion, b: SetUnion) -> float:
         raise UnboundedOperand("use hausdorff_windowed for unbounded operands")
     if a.dim == 1:
         return _hausdorff_1d(a, b)
-    pa, pb = _all_points(a), _all_points(b)
+    pa, pb = _point_rows(a), _point_rows(b)
     if pa is not None and pb is not None:
         return _hausdorff_points(pa, pb)
-    if len(a.cells) == 1 and len(b.cells) == 1:
+    if a.cell_count == 1 and b.cell_count == 1:
         return _hausdorff_convex_pair(a.cells[0], b.cells[0])
     raise UnsupportedCellCombination(
         "exact Hausdorff needs d=1 unions, point sets, or single convex cells"

@@ -569,8 +569,11 @@ def summability_report(profile: PhiProfile) -> SummabilityReport:
 # scalar strong-law harness
 
 
-def checkpoint_means(driver: ScalarDriver, n_max: int, checkpoints, seed: int | None = None) -> list[float]:
-    """Running means m_n at the checkpoints, in one compensated streaming pass.
+def checkpoint_means(
+    driver: ScalarDriver, n_max: int, checkpoints, seed: int | None = None, clamp: bool = False
+) -> list[float]:
+    """Running means m_n at the checkpoints, in one compensated streaming pass;
+    of max(0, draw) when clamp is set (the radii of random balls).
 
     Draws are generated in blocks and reduced with math.fsum, so memory stays
     at O(checkpoints + one block), plus for a Markov driver its kept states:
@@ -587,8 +590,9 @@ def checkpoint_means(driver: ScalarDriver, n_max: int, checkpoints, seed: int | 
     for cp in checkpoints:
         while done < cp:
             count = min(_BLOCK, cp - done)
+            block = _draw_block(driver, seed, done, count)
             # a memoryview hands fsum plain floats, faster than numpy scalars
-            partials.append(math.fsum(memoryview(_draw_block(driver, seed, done, count))))
+            partials.append(math.fsum(memoryview(np.maximum(block, 0.0) if clamp else block)))
             done += count
         means.append(math.fsum(partials) / done)
     return means

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import rng
 from .geometry import (
@@ -32,11 +33,10 @@ from .geometry import (
     point_union,
     ray_cell,
     support,
-    translate_union,
     union_of,
     vnorm,
 )
-from .mixing import ScalarDriver, _draw_block, fair_sign_driver
+from .mixing import Law, ScalarDriver, _draw_block, fair_sign_driver
 
 FAMILIES = ("segment", "two_point", "random_ball", "needle_halo", "random_ray")
 
@@ -71,8 +71,10 @@ class SetProcessSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family in ("segment", "two_point", "random_ball") and self.driver is None:
             raise UnknownMoments(f"{self.family} needs a driver with analytic moments")
-        if self.family == "random_ball" and self.driver.mean < 0:
-            raise ValueError("random_ball needs a driver with a nonnegative mean radius")
+        if self.family == "random_ball":
+            if self.driver.mean < 0:
+                raise ValueError("random_ball needs a driver with a nonnegative mean radius")
+            clamped_mean(self.driver)  # refuses a driver whose clamped mean has no closed form
         if self.family == "needle_halo" and self.driver is not None:
             raise ValueError("needle_halo draws its own halo points; no driver allowed")
         if self.family == "random_ray" and self.driver is not None:
@@ -105,6 +107,44 @@ def _emitted_values(d: ScalarDriver) -> set[float]:
         else:
             return set()
     return emitted
+
+
+def _clamped_law_mean(law: Law) -> float | None:
+    """E[max(0, X)] for X drawn from the law; None when X is never below 0."""
+    if law.kind == "normal":
+        mu, sigma = law.a, law.b
+        if sigma == 0.0 or ndtr(-mu / sigma) == 0.0:
+            return None if mu >= 0.0 else 0.0
+        z = mu / sigma  # mu Phi(z) + sigma phi(z)
+        return float(mu * ndtr(z)) + sigma * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    if (min(law.values) if law.kind == "choice" else law.a) >= 0.0:
+        return None
+    if law.kind == "uniform":
+        return max(law.b, 0.0) ** 2 / (2.0 * (law.b - law.a))
+    return math.fsum(w * max(v, 0.0) for v, w in zip(law.values, law.weights))  # a constant below 0: 0.0
+
+
+def clamped_mean(driver: ScalarDriver) -> float:
+    """E[max(0, r)] of the driver's draws r, averaged over the two laws of an
+    alternating driver: the mean radius of random_ball, whose sets clamp
+    their radii at 0. It is `driver.mean` itself when no value the driver can
+    emit is below 0. An m_dependent average of a non-normal law that reaches
+    below 0 has no closed form here and raises UnknownMoments.
+    """
+    if driver.family == "finite_markov":
+        laws = [Law(kind="choice", values=driver.emissions, weights=driver.stationary)]
+    elif driver.family == "alternating":
+        laws = [driver.law, driver.law_odd]
+    elif driver.family == "m_dependent" and driver.law.kind == "normal":  # an average of normals is normal
+        laws = [Law.normal(driver.law.a, driver.law.b / math.sqrt(driver.m + 1))]
+    else:
+        laws = [driver.law]
+    means = [_clamped_law_mean(law) for law in laws]
+    if all(m is None for m in means):
+        return driver.mean
+    if driver.family == "m_dependent" and driver.law.kind != "normal":
+        raise UnknownMoments("no closed form for E[max(0, r)] of an m_dependent average below 0")
+    return math.fsum(law.mean if m is None else m for law, m in zip(laws, means)) / len(laws)
 
 
 def segment_process(driver: ScalarDriver) -> SetProcessSpec:
@@ -146,23 +186,20 @@ def _draws(spec: SetProcessSpec, start: int, count: int, seed: int) -> np.ndarra
 
 
 def _sets(spec: SetProcessSpec, start: int, count: int, seed: int):
-    """X_start..X_{start+count-1}, each a translate group (see
-    `geometry.translate_sum`) or, for segment and random_ball, one cell."""
+    """X_start..X_{start+count-1}, each a SetUnion; the point and ray
+    families are built straight from translate-group rows."""
     if spec.family == "needle_halo":
-        return ({AXIS_RAY.cone: np.zeros((1, 2)), Cone.trivial(2): h[None] + 0.0} for h in _draws(spec, start, count, seed))
+        return (SetUnion({AXIS_RAY.cone: np.zeros((1, 2)), Cone.trivial(2): h[None] + 0.0})
+                for h in _draws(spec, start, count, seed))
     xs = _draws(spec, start, count, seed).tolist()
     if spec.family == "random_ray":
-        return ({Cone.from_generators(2, [(math.cos(s / k), math.sin(s / k))]): np.zeros((1, 2))}
+        return (SetUnion({Cone.from_generators(2, [(math.cos(s / k), math.sin(s / k))]): np.zeros((1, 2))})
                 for k, s in enumerate(xs, start))
     if spec.family == "two_point":  # one row when x + 1.0 rounds back to x
-        return ({Cone.trivial(1): np.array(sorted({x + 0.0, x + 1.0}))[:, None]} for x in xs)
+        return (SetUnion({Cone.trivial(1): np.array(sorted({x + 0.0, x + 1.0}))[:, None]}) for x in xs)
     if spec.family == "segment":
-        return (interval_cell(x, x + 1.0) for x in xs)
-    return (ball_cell((0.0, 0.0), max(0.0, x)) for x in xs)  # a Ball needs radius >= 0
-
-
-def _union(x) -> SetUnion:
-    return translate_union(x) if isinstance(x, dict) else union_of([x])
+        return (union_of([interval_cell(x, x + 1.0)]) for x in xs)
+    return (union_of([ball_cell((0.0, 0.0), max(0.0, x))]) for x in xs)  # a Ball needs radius >= 0
 
 
 def ray_direction(spec: SetProcessSpec, n: int, seed: int) -> tuple[float, float]:
@@ -172,7 +209,7 @@ def ray_direction(spec: SetProcessSpec, n: int, seed: int) -> tuple[float, float
 
 def sample_set(spec: SetProcessSpec, n: int, seed: int) -> SetUnion:
     """The n-th set of the sequence (1-based), encoded exactly."""
-    return _union(next(_sets(spec, n, 1, seed)))
+    return next(_sets(spec, n, 1, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +247,7 @@ def expectation(spec: SetProcessSpec) -> AumannExpectation:
     if spec.family == "random_ball":
         # weak stationarity needs only the means to match across parities,
         # which the driver families guarantee by construction
-        ball = union_of([ball_cell((0.0, 0.0), spec.driver.mean)])
+        ball = union_of([ball_cell((0.0, 0.0), clamped_mean(spec.driver))])
         return AumannExpectation(convexified=ball, claimed=ball, family_constant=True)
     ray = union_of([AXIS_RAY])
     # the unbounded families are analyzed against the axis ray itself
@@ -229,7 +266,7 @@ def support_process(spec: SetProcessSpec, x_star, n_range, seed: int) -> list[fl
     values = {}
     for _, run in groupby(enumerate(sorted(set(ns))), lambda t: t[1] - t[0]):  # runs of consecutive n
         run = [n for _, n in run]
-        values.update(zip(run, (support(x_star, _union(x)) for x in _sets(spec, run[0], len(run), seed))))
+        values.update(zip(run, (support(x_star, x) for x in _sets(spec, run[0], len(run), seed))))
     return [values[n] for n in ns]
 
 
@@ -324,6 +361,9 @@ class SupportMomentSeries:
 
 
 def support_moment_series(spec: SetProcessSpec, x_star, N: int) -> SupportMomentSeries:
+    """The series for x*; a random_ball term uses the variance of the
+    unclamped radius, an upper bound for the clamped one's, because clamping
+    at 0 is 1-Lipschitz."""
     exp = expectation(spec)
     s_a = support(x_star, exp.claimed)
     if math.isinf(s_a):

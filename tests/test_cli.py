@@ -539,6 +539,14 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", str(good), "--out", str(tmp_path / "o2")]) == 0
 
 
+def test_ball_with_unknown_clamped_mean_exits_two(tmp_path):
+    cfg = tmp_path / "ball.json"
+    driver = {"family": "m_dependent", "m": 2, "law": {"kind": "uniform", "low": -1.0, "high": 3.0}}
+    cfg.write_text(json.dumps(minimal_cfg(experiment="hausdorff_slln", family="random_ball", target="coA",
+                                          driver=driver)))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_main_resolves_bundled_names(tmp_path):
     assert main(["run", "phi_markov_profile", "--out", str(tmp_path)]) == 0
 

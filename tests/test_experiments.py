@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from randset import experiments, processes
+from randset import experiments, geometry, processes
 from randset.cli import parse_config, run_config
 from randset.experiments import (
     ProbeOutsideD,
@@ -26,6 +27,7 @@ from randset.experiments import (
 from randset.geometry import (
     CellBudgetExceeded,
     Cone,
+    format_set_union,
     hausdorff,
     hausdorff_windowed,
     interval_cell,
@@ -37,7 +39,7 @@ from randset.geometry import (
     union_of,
     vnorm,
 )
-from randset.mixing import Law, alternating_driver, checkpoint_means, iid_driver, markov_driver
+from randset.mixing import Law, alternating_driver, checkpoint_means, draw_sequence, iid_driver, markov_driver
 from randset.processes import (
     AXIS_RAY,
     ball_process,
@@ -78,6 +80,22 @@ def test_ball_trajectory_is_radius_gap():
     trajs = run_hausdorff_slln(ball_process(ALT), "coA", 1000, CPS, [1])
     means = checkpoint_means(ALT, 1000, CPS, 1)
     assert trajs[0].values == tuple(abs(m - 1.0) for m in means)
+
+
+def test_ball_trajectory_averages_the_clamped_radii():
+    # N(0.2, 0.5) is below 0 for 34% of draws, and sample_set clamps those radii at 0
+    driver = iid_driver(Law.normal(0.2, 0.5))
+    z = 0.2 / 0.5
+    closed = 0.2 * 0.5 * math.erfc(-z / math.sqrt(2.0)) + 0.5 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    cps = [10, 100, 1000, 2000]
+    radii = np.maximum(draw_sequence(driver, 2000, 1), 0.0)
+    (traj,) = run_hausdorff_slln(ball_process(driver), "coA", 2000, cps, [1])
+    for cp, v in zip(cps, traj.values):
+        assert type(v) is float
+        assert abs(v - abs(float(radii[:cp].mean()) - closed)) <= 1e-12
+    rep = run_km_diagnostics(ball_process(driver), [(0.0, 0.0)], 5.0, 2000, cps, 1)
+    for cp, e in zip(cps, rep.excess):
+        assert abs(e - max(0.0, float(radii[:cp].mean()) - closed)) <= 1e-12
 
 
 def test_unbounded_families_rejected():
@@ -261,6 +279,22 @@ def test_exact_cell_expansion_scales_only_the_last_prefix(monkeypatch):
     monkeypatch.setattr(experiments, "scale", counting)
     assert repr(exact_cell_expansion(segment_process(MK), 50, 3)) == want
     assert lams == [1.0 / 50]  # one scale per prefix called it 50 times
+
+
+@pytest.mark.parametrize("spec", [needle_halo_process(), two_point_process(MK_ASYM), ray_process()],
+                         ids=["needle_halo", "two_point", "random_ray"])
+def test_expansion_to_cells_file_builds_no_cell_objects(spec, monkeypatch):
+    made = []
+    real = geometry.ConvexCell
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "ConvexCell", counting)
+    sn = exact_cell_expansion(spec, 8, 1)
+    assert format_set_union(sn) and sn.cell_count >= 1
+    assert made == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ identities themselves are asserted at 1e-9 as contracted.
 """
 
 import math
+import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,9 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from randset.geometry import (
     Ball,
+    ConvexCell,
     MembershipVerdict,
     Polytope,
     UnsupportedCellCombination,
+    _cell_key,
+    _cell_line,
+    _cell_sum,
+    _close,
+    _poly_cell,
     as_vector,
     ball_cell,
     cell_distances,
@@ -26,6 +34,7 @@ from randset.geometry import (
     hausdorff,
     hausdorff_via_support,
     hull_membership_via_support,
+    interval_cell,
     minkowski_sum,
     parse_set_union,
     point_cell,
@@ -38,9 +47,6 @@ from randset.geometry import (
     scale,
     spread_directions,
     support,
-    translate_distance,
-    translate_sum,
-    translate_union,
     union_of,
 )
 
@@ -246,7 +252,7 @@ def test_hull_membership_bit_identical_to_scalar_loop(case, data):
 
 # ---------------------------------------------------------------------------
 # The batched point and ray distance kernel against the scalar functions, bit
-# for bit, and translate groups against the generic Minkowski sum.
+# for bit, and translate-group sums against the cell-by-cell Minkowski sum.
 
 
 def ref_union_distance(p, u):
@@ -322,21 +328,100 @@ def test_cell_distances_and_recession_bit_identical_to_scalar_loop(case):
 @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(translate_cells(dim), translate_cells(dim))))
 def test_translate_sum_is_the_minkowski_sum(pair):
     a, b = pair
+    total = minkowski_sum(a, b)  # both are translate groups: one broadcast add per pair of cones
+    assert not total.others
+    assert total.cells == ref_union(_cell_sum(x, y) for x in a.cells for y in b.cells)
+    p = (0.5,) * a.dim  # sector and full-space rows go through the cell loop
+    assert distance_outcome(point_to_union_distance, p, total) == distance_outcome(ref_union_distance, p, total)
 
-    def groups(u):
-        out = {}
-        for c in u.cells:
-            out.setdefault(c.cone, []).append(c.base.vertices[0])
-        return {cone: np.array(v) for cone, v in out.items()}
 
-    total = translate_sum(groups(a), groups(b))
-    assert repr(translate_union(total)) == repr(minkowski_sum(a, b))
-    p = (0.5,) * a.dim
-    got = distance_outcome(translate_distance, p, total)
-    if all(cone.is_trivial or len(cone.generators) == 1 for cone in total):
-        assert got == distance_outcome(point_to_union_distance, p, minkowski_sum(a, b))
-    else:
-        assert got.startswith("UnsupportedCellCombination")
+# ---------------------------------------------------------------------------
+# The array-backed SetUnion against a tuple-of-cells reference: one cell per
+# value, in `_cell_key` order, as `union_of` kept them before one-vertex cells
+# became translate-group rows. A coarse grid makes equal cells common.
+
+half = st.integers(-4, 4).map(lambda k: k / 2.0)
+
+
+def ref_union(cells):
+    return tuple(sorted(set(cells), key=_cell_key))
+
+
+def ref_format(cells):
+    return "\n".join(sorted(_cell_line(c) for c in ref_union(cells))) + "\n"
+
+
+def ref_scale(lam, cells):
+    """The cell-by-cell `scale`: a polytope is rebuilt only when two scaled
+    vertices fall within DEDUP_TOL of each other."""
+    out = []
+    for c in cells:
+        if isinstance(c.base, Ball):
+            base = Ball(center=as_vector(tuple(lam * x for x in c.base.center)), radius=lam * c.base.radius)
+        else:
+            verts = [as_vector(tuple(lam * x for x in v)) for v in c.base.vertices]
+            if any(_close(u, w) for u, w in combinations(verts, 2)):
+                out.append(_poly_cell(verts, c.cone))
+                continue
+            base = Polytope(vertices=tuple(verts))
+        out.append(ConvexCell(base=base, cone=c.cone))
+    return ref_union(out)
+
+
+@st.composite
+def mixed_cells(draw, dim):
+    vec = st.tuples(*[half] * dim)
+    unit = st.sampled_from([(1.0,), (-1.0,)] if dim == 1 else [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.6, 0.8)])
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["point", "ray", "segment", "polygon", "ball", "sector"]))
+        if kind == "point":
+            cells.append(point_cell(draw(vec)))
+        elif kind == "ray":
+            cells.append(ray_cell(draw(vec), draw(unit)))
+        elif kind == "segment":
+            lo, hi = sorted([draw(vec), draw(vec)])
+            cells.append(interval_cell(lo[0], hi[0]) if dim == 1 else poly_cell([lo, hi]))
+        elif kind == "polygon":
+            cells.append(poly_cell(draw(st.lists(vec, min_size=1, max_size=5))))
+        elif kind == "ball":
+            cells.append(ball_cell(draw(vec), draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.lists(unit, max_size=1))))
+        else:
+            cells.append(poly_cell([draw(vec)], draw(st.lists(unit, min_size=2, max_size=2))))
+    return cells + draw(st.lists(st.sampled_from(cells), max_size=3))  # repeats
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(mixed_cells(dim), mixed_cells(dim))), st.randoms())
+def test_set_union_matches_the_tuple_of_cells_reference(pair, rnd):
+    a, b = pair
+    u = union_of(a)
+    assert u.cells == ref_union(a)
+    assert u.cell_count == len(ref_union(a))
+    assert format_set_union(u) == ref_format(a)
+    assert parse_set_union(format_set_union(u)) == u
+    assert pickle.loads(pickle.dumps(u)) == u
+    shuffled = list(a)
+    rnd.shuffle(shuffled)
+    assert union_of(shuffled) == u and hash(union_of(shuffled)) == hash(u)
+    assert (union_of(b) == u) == (ref_union(b) == ref_union(a))
+    assert (union_of(a + b) == u) == (ref_union(a + b) == ref_union(a))
+    for lam in (1.0 / 3.0, 1e-13, 3.0):  # thirds need all 17 digits
+        want = ref_scale(lam, ref_union(a))
+        assert scale(lam, u).cells == want
+        assert format_set_union(scale(lam, u)) == ref_format(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]), real),
+                         max_size=4).map(tuple), max_size=6))
+def test_point_union_matches_the_point_cell_loop(points):
+    def via_cells(ps):
+        return union_of(point_cell(p) for p in ps)
+
+    assert outcome(point_union, points) == outcome(via_cells, points)
+    if points and len({len(p) for p in points}) == 1:
+        assert outcome(point_union, points * 2) == outcome(via_cells, points)  # duplicates
 
 
 def test_support_never_returns_negative_zero():

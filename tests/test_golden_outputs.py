@@ -1,4 +1,5 @@
-"""Golden bytes: every file each bundled config writes, pinned by SHA-256.
+"""Golden bytes: every file each bundled config writes, and the cells files of
+some expansions beyond them, pinned by SHA-256.
 
 Each bundled config is run once through `run_config`; when it writes a
 trajectory CSV, `plot.svg` is rendered from it with `emit_plot`. The set of
@@ -16,6 +17,10 @@ import hashlib
 import pytest
 
 from randset.cli import SEED_OVERRIDE_VAR, bundled_config_names, bundled_config_path, emit_plot, load_config, run_config
+from randset.experiments import exact_cell_expansion
+from randset.geometry import CellBudgetExceeded, format_set_union
+from randset.mixing import Law, iid_driver, markov_driver
+from randset.processes import needle_halo_process, ray_process, two_point_process
 
 GOLDEN = {
     "ball_slln/plot.svg": "f56e21905b1392edd48c142642eb227deaddbd6d0d53708e77a9e131b9d71d45",
@@ -57,3 +62,43 @@ def test_bundled_config_output_bytes(name, tmp_path, monkeypatch):
     got = {f"{stem}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
     want = {k: v for k, v in GOLDEN.items() if k.startswith(stem + "/")}
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Cells-file bytes of expansions beyond the bundled configs, pinned by SHA-256
+# of `format_set_union(exact_cell_expansion(spec, n, seed))`.
+#
+# The `two_point` hashes pin today's exact-value dedup, a known fault, not a
+# verified answer: with the iid normal driver, S_25 at seed 1 has 62 point
+# cells where the lattice has 26, because 36 of them lie within 1e-12 (down
+# to 5.6e-17) of a neighbour. The d = 1 tolerance dedup will change these
+# bytes and re-pin them with that reason.
+
+MK_ASYM = markov_driver([[0.7, 0.3], [0.1, 0.9]], [0.25, 0.75], [-0.5, 1.25])
+EXPANSIONS = {
+    "needle_halo-5-1": (needle_halo_process(), 5, 1, "a0a38ebfd373188b11c06f516c2d30c62571fdc252b2d18a258bbac828e3b7f2"),
+    "needle_halo-5-2": (needle_halo_process(), 5, 2, "03239799779ecc008d7840abba2f6589487a6fe9a08e6306c719a8cf00c5d804"),
+    "needle_halo-12-1": (needle_halo_process(), 12, 1, "76a7a63b12e31e7a3aff36ed2b891f3fdcc2aaa986040b89c5a0084c691ec4f4"),
+    "needle_halo-12-2": (needle_halo_process(), 12, 2, "e8b455abadd0b94a8b3d95e9c58b1f4ff8e34c7732dce9c0c14add5b14f097fb"),
+    "needle_halo-16-1": (needle_halo_process(), 16, 1, "ac66cde1292e9985ee19709b24d02d7fe0f6fe4f4d3f1701777da599c9c71fa5"),
+    "needle_halo-16-2": (needle_halo_process(), 16, 2, "ba2299191362fbc8efe5257cf8de7b043120c22073f9cec12667830e9540a7fd"),
+    "two_point_iid_normal-25-1": (two_point_process(iid_driver(Law.normal(0.3, 1.0))), 25, 1,
+                                  "d853c0b15b7eed062a90987fb2911580b6697925734637e9f3e9be6391709c3c"),
+    "two_point_markov_asym-25-1": (two_point_process(MK_ASYM), 25, 1,
+                                   "6515a4f63bb7aff5e3cba696463b4ba4788ad913e3bcd7c828c643c6cbf3ccd6"),
+    "random_ray-10-1": (ray_process(), 10, 1, "95d7f0b9196ac0c01825f39844f5e09b099a16c5cf9ac82006e00a280d774084"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSIONS))
+def test_expansion_cell_bytes(name):
+    spec, n, seed, want = EXPANSIONS[name]
+    text = format_set_union(exact_cell_expansion(spec, n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("budget, first_n", [(2**8, 9), (2**12, 13)])
+def test_cell_budget_stops_the_halo_expansion_at_the_same_n(budget, first_n):
+    exact_cell_expansion(needle_halo_process(), first_n - 1, 1, cell_budget=budget)
+    with pytest.raises(CellBudgetExceeded):
+        exact_cell_expansion(needle_halo_process(), first_n, 1, cell_budget=budget)

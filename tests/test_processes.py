@@ -24,6 +24,7 @@ from randset.mixing import (
     draw_at,
     fair_sign_driver,
     iid_driver,
+    m_dependent_driver,
     markov_driver,
 )
 from randset.processes import (
@@ -32,6 +33,7 @@ from randset.processes import (
     TargetNotInA,
     UnknownMoments,
     ball_process,
+    clamped_mean,
     expectation,
     halo_point,
     needle_halo_process,
@@ -200,6 +202,29 @@ def test_ball_expectation_unit_radius():
     e = expectation(ball_process(ALT))
     assert e.claimed == union_of([ball_cell((0.0, 0.0), 1.0)])
     assert e.family_constant
+
+
+def test_ball_expectation_is_the_clamped_mean_radius():
+    z = 0.2 / 0.5
+    closed = 0.2 * 0.5 * math.erfc(-z / math.sqrt(2.0)) + 0.5 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    radius = expectation(ball_process(iid_driver(Law.normal(0.2, 0.5)))).claimed.cells[0].base.radius
+    assert radius == pytest.approx(closed, abs=1e-15)
+    # E[max(0, r)] in closed form: uniform, choice, Markov emissions, alternating
+    assert clamped_mean(iid_driver(Law.uniform(-1.0, 3.0))) == 9.0 / 8.0
+    assert clamped_mean(iid_driver(Law.choice([-3.0, 1.0, 2.0]))) == 1.0
+    assert clamped_mean(markov_driver([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], [-1.0, 3.0])) == 1.5
+    assert clamped_mean(alternating_driver(Law.uniform(-1.0, 3.0), Law.constant(1.0))) == 0.5 * (9.0 / 8.0 + 1.0)
+    # no value below 0: the driver mean itself, bit for bit
+    for d in (ALT, m_dependent_driver(2, Law.uniform(0.5, 3.0)), iid_driver(Law.normal(40.0, 1.0))):
+        assert clamped_mean(d) == d.mean
+    # an average of 3 normals is N(mu, sd / sqrt(3))
+    sd = 1.0 / math.sqrt(3.0)
+    assert clamped_mean(m_dependent_driver(2, Law.normal(0.0, 1.0))) == pytest.approx(sd / math.sqrt(2.0 * math.pi))
+
+
+def test_ball_refuses_an_m_dependent_average_below_zero():
+    with pytest.raises(UnknownMoments):
+        ball_process(m_dependent_driver(2, Law.uniform(-1.0, 3.0)))
 
 
 def test_unbounded_families_use_axis_ray():
