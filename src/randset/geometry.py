@@ -19,9 +19,10 @@ cone, so sums of such unions are broadcast adds (`translate_sum`) and their
 cell lines are written straight from the rows. Every other cell is kept as a
 `ConvexCell`, one per value, in numeric key order. The tuple of all cells,
 `SetUnion.cells`, is built only when asked for. `_cell_line` is serialization
-only, and `format_set_union` sorts its lines. Distances to point and ray cells
-run through one batched kernel (`cell_distances`, `point_to_union_distance`)
-that rounds as the scalar functions do.
+only, and `format_set_union` sorts its lines. Every distance, from a point
+to a cell or a union and in each exact or windowed Hausdorff path, runs
+through one batched kernel, `cell_distances`, that rounds bit for bit as the
+scalar formulas do.
 """
 
 from __future__ import annotations
@@ -849,44 +850,6 @@ def hull_membership_via_support(x, a: SetUnion, directions) -> MembershipVerdict
 # distances
 
 
-def point_to_segment(p, a, b) -> float:
-    ab = vsub(b, a)
-    denom = vdot(ab, ab)
-    if denom <= 0:
-        return vnorm(vsub(p, a))
-    t = max(0.0, min(1.0, vdot(vsub(p, a), ab) / denom))
-    return vnorm(vsub(p, vadd(a, vscale(t, ab))))
-
-
-def point_to_ray(p, origin, direction) -> float:
-    t = vdot(vsub(p, origin), direction) / vdot(direction, direction)
-    if t <= 0:
-        return vnorm(vsub(p, origin))
-    return vnorm(vsub(p, vadd(origin, vscale(t, direction))))
-
-
-def _point_in_polygon(p, verts, tol=1e-12) -> bool:
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if _cross2(vsub(b, a), vsub(p, a)) < -tol:
-            return False
-    return True
-
-
-def _point_to_polytope(p, verts) -> float:
-    if len(verts) == 1:
-        return vnorm(vsub(p, verts[0]))
-    if len(p) == 1:
-        lo, hi = verts[0][0], verts[-1][0]
-        return max(lo - p[0], p[0] - hi, 0.0)
-    if len(verts) == 2:
-        return point_to_segment(p, verts[0], verts[1])
-    if _point_in_polygon(p, verts):
-        return 0.0
-    return min(point_to_segment(p, verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts)))
-
-
 def _truncation_bound(cell: ConvexCell, reach: float) -> float:
     base_norm = max(vnorm(v) for v in cell.base.vertices)
     gens = cell.cone.generators
@@ -916,116 +879,154 @@ def _truncated_polytope(cell: ConvexCell, reach: float):
     return extreme_points(pts, cell.dim)
 
 
-def point_to_cell_distance(p, cell: ConvexCell) -> float:
-    """Euclidean distance from a point to a convex cell (exact for d <= 2)."""
-    p = as_vector(p, cell.dim)
-    if isinstance(cell.base, Ball):
-        if not cell.cone.is_trivial:
-            raise UnsupportedCellCombination("distance to ball-with-cone cells is not supported")
-        return max(0.0, vnorm(vsub(p, cell.base.center)) - cell.base.radius)
-    verts = cell.base.vertices
-    if cell.cone.is_trivial:
-        return _point_to_polytope(p, verts)
-    if len(verts) == 1 and len(cell.cone.generators) == 1:
-        return point_to_ray(p, verts[0], cell.cone.generators[0])
-    if cell.dim > 2:
-        raise UnsupportedCellCombination("cone-cell distances only implemented for d <= 2")
-    reach = vnorm(p) + max(vnorm(v) for v in verts) + 1.0
-    return _point_to_polytope(p, _hull_2d(_truncated_polytope(cell, reach)) if cell.dim == 2 else _truncated_polytope(cell, reach))
+def _norms(W: np.ndarray) -> np.ndarray:
+    return np.sqrt(_coord_dot(W, W))
 
 
-def _is_point_or_ray(cell: ConvexCell) -> bool:
-    """One vertex plus a trivial or one-generator cone."""
-    return isinstance(cell.base, Polytope) and len(cell.base.vertices) == 1 and _is_ray_cone(cell.cone)
+def _pymax(a, b):
+    """Python's max(a, b) elementwise: a unless b > a, so a zero keeps its sign."""
+    return np.where(b > a, b, a)
 
 
-def _is_ray_cone(cone: Cone) -> bool:
-    return cone.is_trivial or len(cone.generators) == 1
+def _segment_distances(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(m, n) distances from the rows of P to the segments [A_j, B_j], whose
+    ends are distinct. The foot parameter is clamped as max(0.0, min(1.0, t))."""
+    AB = B - A
+    t = _coord_dot(P[:, None, :] - A, AB) / _coord_dot(AB, AB)
+    t = _pymax(0.0, np.where(t < 1.0, t, 1.0))
+    return _norms(P[:, None, :] - (A + t[..., None] * AB))
+
+
+def _polytope_distances(P: np.ndarray, verts) -> np.ndarray:
+    """Distances from the rows of P to the hull of a canonical vertex list:
+    a point, a d = 1 interval, a segment, or a counterclockwise polygon in
+    d = 2 (0.0 inside, else the least edge distance)."""
+    V = np.array(verts)
+    if len(V) == 1:
+        return _norms(P - V[0])
+    if V.shape[1] == 1:
+        return _pymax(_pymax(V[0, 0] - P[:, 0], P[:, 0] - V[-1, 0]), 0.0)
+    if len(V) == 2:
+        return _segment_distances(P, V[:1], V[1:])[:, 0]
+    if V.shape[1] > 2:
+        raise UnsupportedCellCombination("distances to polytopes of three or more vertices need d <= 2")
+    E = np.roll(V, -1, axis=0)
+    D, W = E - V, P[:, None, :] - V
+    outside = (D[:, 0] * W[..., 1] - D[:, 1] * W[..., 0] < -1e-12).any(axis=1)
+    return np.where(outside, _segment_distances(P, V, E).min(axis=1), 0.0)
 
 
 def _translate_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
     """Distance from P to the point V (trivial cone), or to the ray V + t g
     (t >= 0) of the cone's one generator g, with P and V broadcast against
-    each other row by row.
-
-    The operations are those of `_point_to_polytope` on one vertex and of
-    `point_to_ray`, in the same order, elementwise and summed from +0.0 as in
-    `_coord_dot`, so each entry equals the scalar distance bit for bit.
-    """
+    each other row by row."""
     W = P - V
-    to_vertex = np.sqrt(_coord_dot(W, W))
+    to_vertex = _norms(W)
     if cone.is_trivial:
         return to_vertex
     g = np.array(cone.generators[0])
     t = _coord_dot(W, g) / _coord_dot(g, g)
-    foot = P - (V + t[..., None] * g)
-    return np.where(t <= 0, to_vertex, np.sqrt(_coord_dot(foot, foot)))
+    return np.where(t <= 0, to_vertex, _norms(P - (V + t[..., None] * g)))
 
 
 def cell_distances(points, cell: ConvexCell) -> np.ndarray:
-    """point_to_cell_distance(p, cell) for each row p of an (m, d) array, bit
-    for bit, where the cell is a point or a ray (one vertex, at most one cone
-    generator); any other cell raises UnsupportedCellCombination."""
-    if not _is_point_or_ray(cell):
-        raise UnsupportedCellCombination("batched distances need a point or ray cell")
-    return _translate_distances(np.asarray(points, dtype=float), np.array(cell.base.vertices[0]), cell.cone)
+    """Euclidean distance from each row of an (m, d) array to a convex cell.
+
+    The one distance kernel. It covers points, rays, segments, d = 1
+    intervals, 2-d convex polygons, balls, and 2-d cells with any other cone
+    through `_truncated_polytope`, built once per distinct point norm since
+    its size depends on it. Each entry equals the scalar formula on that row
+    bit for bit: elementwise numpy and `_coord_dot` sums only (no `@`, einsum
+    or BLAS), Python's max and min as `np.where` comparisons, and -0.0 read
+    as 0.0, as `as_vector` does. Raises UnsupportedCellCombination, for any
+    m, for a ball with a cone, a d = 3 cone cell other than a ray, and a d = 3
+    polytope of three or more vertices, which would need a 3-d hull.
+    """
+    P = np.asarray(points, dtype=float) + 0.0
+    if isinstance(cell.base, Ball):
+        if not cell.cone.is_trivial:
+            raise UnsupportedCellCombination("distance to ball-with-cone cells is not supported")
+        return _pymax(0.0, _norms(P - np.array(cell.base.center)) - cell.base.radius)
+    verts, cone = cell.base.vertices, cell.cone
+    if cone.is_trivial:
+        return _polytope_distances(P, verts)
+    if len(verts) == 1 and len(cone.generators) == 1:
+        return _translate_distances(P, np.array(verts[0]), cone)
+    if cell.dim > 2:
+        raise UnsupportedCellCombination("cone-cell distances only implemented for d <= 2")
+    reach = _norms(P) + max(vnorm(v) for v in verts) + 1.0
+    out = np.empty(len(P))
+    for r in np.unique(reach):
+        poly = _truncated_polytope(cell, float(r))
+        out[reach == r] = _polytope_distances(P[reach == r], _hull_2d(poly) if cell.dim == 2 else poly)
+    return out
+
+
+def point_to_cell_distance(p, cell: ConvexCell) -> float:
+    """Euclidean distance from a point to a convex cell: the one-row case of
+    `cell_distances`, with its kinds, rounding and refusals."""
+    return float(cell_distances([as_vector(p, cell.dim)], cell)[0])
 
 
 def point_to_union_distance(p, u: SetUnion) -> float:
-    """The least point_to_cell_distance over the cells, bit for bit. Point and
-    ray rows of the translate group go through the batched kernel; the other
-    cells, balls first, one at a time, so the first cell that raises is the
-    one the cell loop would meet first."""
-    p = as_vector(p, u.dim)
-    cells = list(u.others)
-    out = []
+    """The least point_to_cell_distance over the cells, bit for bit: one
+    kernel call per point or ray group and per other cell. Those others run
+    in `.cells` order, so the first to raise is the one a cell loop meets."""
+    P = np.array([as_vector(p, u.dim)])
+    out, cells = [], list(u.others)
     for cone, A in u.groups.items():
-        if _is_ray_cone(cone):
-            out.append(float(_translate_distances(np.array(p), A, cone).min()))
+        if cone.is_trivial or len(cone.generators) == 1:
+            out.append(float(_translate_distances(P, A, cone).min()))
         else:
             cells += _row_cells(cone, A)
-    return min(out + [point_to_cell_distance(p, c) for c in cells])
+    return min(out + [float(cell_distances(P, c)[0]) for c in sorted(cells, key=_cell_key)])
 
 
 # ---------------------------------------------------------------------------
 # Hausdorff distance (exact cases)
 
 
-def _cells_as_intervals(u: SetUnion):
-    out = [(x, x) for A in u.groups.values() for x in A[:, 0].tolist()]  # points: d = 1 and bounded
+def _intervals(u: SetUnion):
+    """(lo, hi) arrays of the cells of a bounded d = 1 union, sorted by (lo, hi)."""
+    ends = [(x, x) for A in u.groups.values() for x in A[:, 0].tolist()]  # points
     for c in u.others:
         if isinstance(c.base, Ball):
-            out.append((c.base.center[0] - c.base.radius, c.base.center[0] + c.base.radius))
+            ends.append((c.base.center[0] - c.base.radius, c.base.center[0] + c.base.radius))
         else:
-            xs = [v[0] for v in c.base.vertices]
-            out.append((min(xs), max(xs)))
-    return sorted(out)
+            ends.append((c.base.vertices[0][0], c.base.vertices[-1][0]))
+    lo, hi = np.array(ends).T
+    order = np.lexsort((hi, lo))
+    return lo[order], hi[order]
 
 
-def _dist_to_intervals(x: float, intervals) -> float:
-    return min(max(lo - x, x - hi, 0.0) for lo, hi in intervals)
+def _to_intervals(x: np.ndarray, lo: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Distance from each x to sorted intervals with left ends lo and running
+    right ends reach: 0 when covered, else the nearer of the reach before x and
+    the next lo. Rounding is monotone, so this is the least per-interval
+    distance bit for bit."""
+    k = np.searchsorted(lo, x, side="right")
+    left = np.where(k > 0, x - reach[k - 1], np.inf)  # reach[-1] where k = 0 is masked
+    right = np.where(k < len(lo), lo[np.minimum(k, len(lo) - 1)] - x, np.inf)
+    return np.where(left > 0.0, np.minimum(left, right), 0.0)
 
 
-def _directed_intervals(a_int, b_int) -> float:
-    # sup of d(., B) over A is attained at A's endpoints or at gap midpoints
-    # of B that fall inside A (local maxima of the piecewise-linear distance).
-    # A gap of B starts at the running right end of the intervals before it,
-    # because a nested interval can end before the one preceding it does.
-    cands = [e for lo, hi in a_int for e in (lo, hi)]
-    ordered = sorted(b_int)
-    reach = ordered[0][1]
-    for lo_b, hi_b in ordered[1:]:
-        if lo_b > reach:
-            mid = 0.5 * (reach + lo_b)
-            if any(lo <= mid <= hi for lo, hi in a_int):
-                cands.append(mid)
-        reach = max(reach, hi_b)
-    return max(_dist_to_intervals(x, b_int) for x in cands)
+def _directed_1d(a, b) -> float:
+    """sup over A of d(., B), for `_intervals` arrays. It is attained at A's
+    endpoints or at midpoints of B's gaps that lie in A (local maxima of the
+    piecewise-linear distance). A gap of B starts at the running right end of
+    the intervals before it, because a nested interval can end before the one
+    preceding it does."""
+    (lo_a, hi_a), (lo_b, hi_b) = a, b
+    reach = np.maximum.accumulate(hi_b)
+    gap = lo_b[1:] > reach[:-1]
+    mid = 0.5 * (reach[:-1][gap] + lo_b[1:][gap])
+    in_a = _to_intervals(mid, lo_a, np.maximum.accumulate(hi_a)) == 0.0
+    return float(_to_intervals(np.concatenate([lo_a, hi_a, mid[in_a]]), lo_b, reach).max())
 
 
 def _hausdorff_1d(a: SetUnion, b: SetUnion) -> float:
-    ai, bi = _cells_as_intervals(a), _cells_as_intervals(b)
-    return max(_directed_intervals(ai, bi), _directed_intervals(bi, ai))
+    ai, bi = _intervals(a), _intervals(b)
+    return max(_directed_1d(ai, bi), _directed_1d(bi, ai))
 
 
 def _point_rows(u: SetUnion):
@@ -1036,9 +1037,10 @@ def _point_rows(u: SetUnion):
 
 
 def _hausdorff_points(A: np.ndarray, B: np.ndarray) -> float:
-    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    d = np.sqrt(d2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    """Squared distances summed coordinate by coordinate, then one sqrt of
+    the max-min, which is exact: sqrt is correctly rounded and monotone."""
+    D2 = sum(np.subtract.outer(A[:, k], B[:, k]) ** 2 for k in range(A.shape[1]))
+    return float(np.sqrt(max(D2.min(axis=1).max(), D2.min(axis=0).max())))
 
 
 def _hausdorff_convex_pair(a: ConvexCell, b: ConvexCell) -> float:
@@ -1055,9 +1057,7 @@ def _hausdorff_convex_pair(a: ConvexCell, b: ConvexCell) -> float:
     if a.dim > 2:
         raise UnsupportedCellCombination("exact polytope Hausdorff is only implemented for d <= 2")
     # distance to a convex set is convex, so each directed sup sits at a vertex
-    d_ab = max(_point_to_polytope(v, b.base.vertices) for v in a.base.vertices)
-    d_ba = max(_point_to_polytope(v, a.base.vertices) for v in b.base.vertices)
-    return max(d_ab, d_ba)
+    return float(max(cell_distances(a.base.vertices, b).max(), cell_distances(b.base.vertices, a).max()))
 
 
 def hausdorff(a: SetUnion, b: SetUnion) -> float:
@@ -1143,27 +1143,25 @@ def _clip_cell_to_box(cell: ConvexCell, R: float):
     return extreme_points(verts, 2)
 
 
-def _directed_clipped(cells_a, cells_b) -> float:
+def _directed_clipped(pieces_a, pieces_b) -> float:
     # Exact when the target side is a single convex piece (vertex attainment);
     # against a multi-piece target, edge subdivision gives a lower bound that
-    # never exceeds the true sup.
-    def dist_to_b(p):
-        return min(_point_to_polytope(p, vb) for vb in cells_b)
-
-    best = 0.0
-    for va in cells_a:
-        if va in cells_b:  # an identical piece on the other side contributes zero
+    # never exceeds the true sup. An identical piece on the other side
+    # contributes zero.
+    t = np.arange(1, _EDGE_SAMPLES)[:, None] / _EDGE_SAMPLES
+    pts = []
+    for va in pieces_a:
+        if va in pieces_b:
             continue
-        for p in va:
-            best = max(best, dist_to_b(p))
-        if len(cells_b) > 1 and len(va) >= 2:
-            n = len(va)
-            edges = [(va[i], va[(i + 1) % n]) for i in range(n if n > 2 else 1)]
-            for p0, p1 in edges:
-                for k in range(1, _EDGE_SAMPLES):
-                    t = k / _EDGE_SAMPLES
-                    best = max(best, dist_to_b(vadd(p0, vscale(t, vsub(p1, p0)))))
-    return best
+        V = np.array(va)
+        pts.append(V)
+        if len(pieces_b) > 1 and len(V) >= 2:
+            edges = list(zip(V, np.roll(V, -1, axis=0)))[: len(V) if len(V) > 2 else 1]
+            pts += [p0 + t * (p1 - p0) for p0, p1 in edges]
+    if not pts:
+        return 0.0
+    P = np.concatenate(pts)
+    return max(0.0, float(np.min([_polytope_distances(P, vb) for vb in pieces_b], axis=0).max()))
 
 
 def hausdorff_windowed(a: SetUnion, b: SetUnion, window_radius: float) -> float:
@@ -1210,7 +1208,7 @@ def recession_cone_detail(a: SetUnion):
         pts = [(v, 0.0) for c in others if isinstance(c.base, Polytope) for v in c.base.vertices]
         P, r = zip(*pts, *[(c.base.center, c.base.radius) for c in others if isinstance(c.base, Ball)])
         try:
-            d = cell_distances(P, c0) if _is_point_or_ray(c0) else np.array([point_to_cell_distance(p, c0) for p in P])
+            d = cell_distances(P, c0)
         except UnsupportedCellCombination:
             continue
         return c0.cone, "sandwich", max(0.0, float((d + np.array(r)).max()))

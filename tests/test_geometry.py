@@ -349,26 +349,30 @@ def random_convex_polygon(seed, k, radius=1.0):
 
 
 def boundary_sampling_hausdorff(pa, pb, step=1e-3):
-    """Directed sups over densely sampled polygon boundaries (vertices included)."""
+    """Directed sups over densely sampled polygon boundaries (vertices included).
 
-    def boundary(cell):
-        v = list(cell.base.vertices)
-        if len(v) == 1:
-            return np.array(v)
+    Distances to a counterclockwise convex polygon in plain numpy: 0 for a
+    sample on the inner side of every edge, else the least edge distance.
+    """
+
+    def boundary(v):
         segs = []
-        n = len(v)
-        for i in range(n if n > 2 else 1):
-            p0, p1 = np.array(v[i]), np.array(v[(i + 1) % n])
+        for p0, p1 in zip(v, np.roll(v, -1, axis=0)):
             m = max(2, int(np.linalg.norm(p1 - p0) / step) + 1)
             segs.append(p0 + np.linspace(0, 1, m)[:, None] * (p1 - p0))
         return np.concatenate(segs)
 
-    def dist_to(cells_pts, cell):
-        from randset.geometry import _point_to_polytope
+    def dist_to(pts, v):
+        ab = np.roll(v, -1, axis=0) - v
+        ap = pts[:, None, :] - v[None, :, :]
+        t = np.clip((ap * ab).sum(axis=2) / (ab * ab).sum(axis=1), 0.0, 1.0)
+        edge = np.hypot(*(ap - t[:, :, None] * ab).transpose(2, 0, 1)).min(axis=1)
+        inside = (ab[:, 0] * ap[:, :, 1] - ab[:, 1] * ap[:, :, 0] >= -1e-12).all(axis=1)
+        return np.where(inside, 0.0, edge).max()
 
-        return max(_point_to_polytope(tuple(p), cell.base.vertices) for p in cells_pts)
-
-    return max(dist_to(boundary(pa), pb), dist_to(boundary(pb), pa))
+    va, vb = np.array(pa.base.vertices), np.array(pb.base.vertices)
+    assert len(va) >= 3 and len(vb) >= 3
+    return max(dist_to(boundary(va), vb), dist_to(boundary(vb), va))
 
 
 def test_polygon_hausdorff_matches_boundary_oracle():

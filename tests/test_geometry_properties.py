@@ -16,14 +16,20 @@ from hypothesis import example, given, settings, strategies as st
 from randset.geometry import (
     Ball,
     ConvexCell,
+    EmptyAfterWindow,
+    GeometryError,
     MembershipVerdict,
     Polytope,
     UnsupportedCellCombination,
     _cell_key,
     _cell_line,
     _cell_sum,
+    _clip_cell_to_box,
     _close,
+    _cross2,
+    _hull_2d,
     _poly_cell,
+    _truncated_polytope,
     as_vector,
     ball_cell,
     cell_distances,
@@ -33,6 +39,7 @@ from randset.geometry import (
     format_set_union,
     hausdorff,
     hausdorff_via_support,
+    hausdorff_windowed,
     hull_membership_via_support,
     interval_cell,
     minkowski_sum,
@@ -48,6 +55,10 @@ from randset.geometry import (
     spread_directions,
     support,
     union_of,
+    vadd,
+    vnorm,
+    vscale,
+    vsub,
 )
 
 coord = st.integers(min_value=-256, max_value=256).map(lambda k: k / 64.0)
@@ -201,6 +212,7 @@ def outcome(f, *args):
 real = st.floats(-4.0, 4.0)
 # zero and negative-zero components; any such vector has norm <= sqrt(3) / 2
 component = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.5, 0.5))
+signed_real = st.one_of(st.just(-0.0), real)
 
 
 @st.composite
@@ -217,6 +229,28 @@ def any_cell(draw, dim, bounded=False):
     if kind == "ray":
         return ray_cell(draw(vec), draw(vec.filter(lambda g: math.hypot(*g) > 1e-3)))
     return poly_cell(draw(st.lists(vec, min_size=1, max_size=2)), dim=dim, full_space=True)
+
+
+@st.composite
+def unit_or_any(draw, dim):
+    if dim == 2 and draw(st.booleans()):
+        t = draw(st.floats(-math.pi, math.pi))
+        return (math.cos(t), math.sin(t))
+    g = draw(st.tuples(*[real] * dim).filter(lambda g: math.hypot(*g) > 1e-3))
+    return tuple(c / math.hypot(*g) for c in g) if draw(st.booleans()) else g
+
+
+@st.composite
+def canonical_cell(draw, dim=None, vec=None):
+    dim = dim or draw(st.integers(1, 3))
+    vec = st.tuples(*[real] * dim) if vec is None else vec
+    g, h = draw(unit_or_any(dim)), draw(unit_or_any(dim))
+    minus = tuple(-c for c in g)
+    cones = {"none": [], "ray": [g], "sector": [g, h], "line": [g, minus], "half_plane": [g, minus, h], "full": []}
+    key = draw(st.sampled_from(sorted(cones)))
+    if draw(st.booleans()):
+        return ball_cell(draw(vec), draw(st.floats(0.0, 4.0)), cones[key], full_space=key == "full")
+    return poly_cell(draw(st.lists(vec, min_size=1, max_size=4)), cones[key], full_space=key == "full")
 
 
 @st.composite
@@ -251,54 +285,212 @@ def test_hull_membership_bit_identical_to_scalar_loop(case, data):
 
 
 # ---------------------------------------------------------------------------
-# The batched point and ray distance kernel against the scalar functions, bit
-# for bit, and translate-group sums against the cell-by-cell Minkowski sum.
+# The one distance kernel and the exact Hausdorff paths against the scalar
+# functions they replaced, which are kept here as references, bit for bit.
+
+
+def ref_point_to_segment(p, a, b):
+    ab = vsub(b, a)
+    denom = ref_dot(ab, ab)
+    if denom <= 0:
+        return vnorm(vsub(p, a))
+    t = max(0.0, min(1.0, ref_dot(vsub(p, a), ab) / denom))
+    return vnorm(vsub(p, vadd(a, vscale(t, ab))))
+
+
+def ref_point_to_ray(p, origin, direction):
+    t = ref_dot(vsub(p, origin), direction) / ref_dot(direction, direction)
+    if t <= 0:
+        return vnorm(vsub(p, origin))
+    return vnorm(vsub(p, vadd(origin, vscale(t, direction))))
+
+
+def ref_point_in_polygon(p, verts, tol=1e-12):
+    n = len(verts)
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        if _cross2(vsub(b, a), vsub(p, a)) < -tol:
+            return False
+    return True
+
+
+def ref_point_to_polytope(p, verts):
+    if len(verts) == 1:
+        return vnorm(vsub(p, verts[0]))
+    if len(p) == 1:
+        lo, hi = verts[0][0], verts[-1][0]
+        return max(lo - p[0], p[0] - hi, 0.0)
+    if len(verts) == 2:
+        return ref_point_to_segment(p, verts[0], verts[1])
+    if len(p) > 2:  # the lexicographic vertex order of a 3-d polytope is no polygon
+        raise UnsupportedCellCombination("distances to polytopes of three or more vertices need d <= 2")
+    if ref_point_in_polygon(p, verts):
+        return 0.0
+    return min(ref_point_to_segment(p, verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts)))
+
+
+def ref_point_to_cell_distance(p, cell):
+    p = as_vector(p, cell.dim)
+    if isinstance(cell.base, Ball):
+        if not cell.cone.is_trivial:
+            raise UnsupportedCellCombination("distance to ball-with-cone cells is not supported")
+        return max(0.0, vnorm(vsub(p, cell.base.center)) - cell.base.radius)
+    verts = cell.base.vertices
+    if cell.cone.is_trivial:
+        return ref_point_to_polytope(p, verts)
+    if len(verts) == 1 and len(cell.cone.generators) == 1:
+        return ref_point_to_ray(p, verts[0], cell.cone.generators[0])
+    if cell.dim > 2:
+        raise UnsupportedCellCombination("cone-cell distances only implemented for d <= 2")
+    reach = vnorm(p) + max(vnorm(v) for v in verts) + 1.0
+    poly = _truncated_polytope(cell, reach)
+    return ref_point_to_polytope(p, _hull_2d(poly) if cell.dim == 2 else poly)
 
 
 def ref_union_distance(p, u):
-    return min(point_to_cell_distance(p, c) for c in u.cells)
+    return min(ref_point_to_cell_distance(p, c) for c in u.cells)
 
 
 def ref_recession_cone_detail(a):
-    """The scalar loop: every foreign vertex's distance to C0, one at a time."""
+    """The scalar loop: every foreign vertex's and ball centre's distance to
+    C0, one at a time; a C0 the distance refuses is skipped."""
     cones = [c.cone for c in a.cells]
     if all(k == cones[0] for k in cones):
         return cones[0], "shared", 0.0
     for i, c0 in enumerate(a.cells):
         if not all(cone_is_subset(c.cone, c0.cone) for c in a.cells):
             continue
-        radius, ok = 0.0, True
-        for j, c in enumerate(a.cells):
-            if j == i:
-                continue
-            if isinstance(c.base, Ball):
-                radius = max(radius, point_to_cell_distance(c.base.center, c0) + c.base.radius)
-                continue
-            for v in c.base.vertices:
-                try:
-                    radius = max(radius, point_to_cell_distance(v, c0))
-                except UnsupportedCellCombination:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return c0.cone, "sandwich", radius
+        radius = 0.0
+        try:
+            for c in a.cells[:i] + a.cells[i + 1 :]:
+                if isinstance(c.base, Ball):
+                    radius = max(radius, ref_point_to_cell_distance(c.base.center, c0) + c.base.radius)
+                else:
+                    for v in c.base.vertices:
+                        radius = max(radius, ref_point_to_cell_distance(v, c0))
+        except UnsupportedCellCombination:
+            continue
+        return c0.cone, "sandwich", radius
     return None, None, 0.0
+
+
+def ref_intervals(u):
+    out = []
+    for c in u.cells:
+        if isinstance(c.base, Ball):
+            out.append((c.base.center[0] - c.base.radius, c.base.center[0] + c.base.radius))
+        else:
+            xs = [v[0] for v in c.base.vertices]
+            out.append((min(xs), max(xs)))
+    return sorted(out)
+
+
+def ref_dist_to_intervals(x, intervals):
+    return min(max(lo - x, x - hi, 0.0) for lo, hi in intervals)
+
+
+def ref_directed_intervals(a_int, b_int):
+    cands = [e for lo, hi in a_int for e in (lo, hi)]
+    ordered = sorted(b_int)
+    reach = ordered[0][1]
+    for lo_b, hi_b in ordered[1:]:
+        if lo_b > reach:
+            mid = 0.5 * (reach + lo_b)
+            if any(lo <= mid <= hi for lo, hi in a_int):
+                cands.append(mid)
+        reach = max(reach, hi_b)
+    return max(ref_dist_to_intervals(x, b_int) for x in cands)
+
+
+def ref_hausdorff_1d(a, b):
+    ai, bi = ref_intervals(a), ref_intervals(b)
+    return max(ref_directed_intervals(ai, bi), ref_directed_intervals(bi, ai))
+
+
+def ref_hausdorff_convex_pair(a, b):
+    ba, bb = isinstance(a.base, Ball), isinstance(b.base, Ball)
+    if ba and bb:
+        return vnorm(vsub(a.base.center, b.base.center)) + abs(a.base.radius - b.base.radius)
+    if ba or bb:
+        ball, other = (a, b) if ba else (b, a)
+        if other.is_point:
+            return vnorm(vsub(ball.base.center, other.base.vertices[0])) + ball.base.radius
+        raise UnsupportedCellCombination("exact ball-vs-polytope Hausdorff is not supported")
+    d_ab = max(ref_point_to_polytope(v, b.base.vertices) for v in a.base.vertices)
+    d_ba = max(ref_point_to_polytope(v, a.base.vertices) for v in b.base.vertices)
+    return max(d_ab, d_ba)
+
+
+def ref_hausdorff(a, b):
+    """The dispatch of `hausdorff` on bounded unions of one dimension."""
+    if a.dim == 1:
+        return ref_hausdorff_1d(a, b)
+    if all(c.is_point for c in a.cells + b.cells):
+        A, B = np.array([c.base.vertices[0] for c in a.cells]), np.array([c.base.vertices[0] for c in b.cells])
+        d = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
+        return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    if len(a.cells) == 1 and len(b.cells) == 1:
+        return ref_hausdorff_convex_pair(a.cells[0], b.cells[0])
+    raise UnsupportedCellCombination("exact Hausdorff needs d=1 unions, point sets, or single convex cells")
+
+
+def ref_directed_clipped(cells_a, cells_b):
+    def dist_to_b(p):
+        return min(ref_point_to_polytope(p, vb) for vb in cells_b)
+
+    best = 0.0
+    for va in cells_a:
+        if va in cells_b:
+            continue
+        for p in va:
+            best = max(best, dist_to_b(p))
+        if len(cells_b) > 1 and len(va) >= 2:
+            n = len(va)
+            for p0, p1 in [(va[i], va[(i + 1) % n]) for i in range(n if n > 2 else 1)]:
+                for k in range(1, 128):
+                    best = max(best, dist_to_b(vadd(p0, vscale(k / 128, vsub(p1, p0)))))
+    return best
+
+
+def ref_hausdorff_windowed(a, b, R):
+    ca = [v for c in a.cells if (v := _clip_cell_to_box(c, R)) is not None]
+    cb = [v for c in b.cells if (v := _clip_cell_to_box(c, R)) is not None]
+    if not ca or not cb:
+        raise EmptyAfterWindow("a window operand is empty after clipping")
+    if a.dim == 1:
+        ua = union_of(interval_cell(v[0][0], v[-1][0]) for v in ca)
+        ub = union_of(interval_cell(v[0][0], v[-1][0]) for v in cb)
+        return ref_hausdorff_1d(ua, ub)
+    return max(ref_directed_clipped(ca, cb), ref_directed_clipped(cb, ca))
 
 
 def distance_outcome(f, *args):
     try:
         return repr(f(*args))
-    except (ValueError, UnsupportedCellCombination) as e:
+    except (ValueError, GeometryError) as e:
         return f"{type(e).__name__}: {e}"
 
 
+def test_d3_polytope_distance_is_refused_not_misread():
+    # the polygon test read x and y only: 0.2828 inside (true 0) and 2.9155 at (2, 2, 2) (true 2.8868)
+    tetrahedron = poly_cell([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for p in ((0.2, 0.2, 0.2), (2.0, 2.0, 2.0)):
+        for f in (point_to_cell_distance, ref_point_to_cell_distance):
+            with pytest.raises(UnsupportedCellCombination, match="three or more vertices need d <= 2"):
+                f(p, tetrahedron)
+        with pytest.raises(UnsupportedCellCombination, match="three or more vertices"):
+            point_to_union_distance(p, union_of([tetrahedron, point_cell((9.0, 9.0, 9.0))]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(union_and_directions(), st.data())
-def test_union_distance_bit_identical_to_cell_loop(case, data):
-    u, _ = case
-    x = data.draw(st.tuples(*[real] * u.dim))
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(st.lists(canonical_cell(dim), min_size=1, max_size=3),
+                                                        st.tuples(*[signed_real] * dim))))
+# a triangle is a refused cell kept apart from the translate group, and sorts after a refused sector row
+@example(([poly_cell([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+           poly_cell([(0.0, 0.0, 0.0)], [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])], (5.0, 5.0, 5.0)))
+def test_union_distance_bit_identical_to_cell_loop(case):
+    cells, x = case
+    u = union_of(cells)
     assert distance_outcome(point_to_union_distance, x, u) == distance_outcome(ref_union_distance, x, u)
 
 
@@ -315,13 +507,89 @@ def translate_cells(draw, dim, max_size=4):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(translate_cells(dim, 6), st.lists(st.tuples(*[real] * dim)))))
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(translate_cells(dim, 6), st.lists(canonical_cell(dim), max_size=3),
+                                                        st.lists(st.tuples(*[signed_real] * dim)))))
+@example((point_union([(5.0,)]), [interval_cell(-1.0, 0.0)], [(-0.0,)]))  # -0.0 - 0.0 is -0.0
 def test_cell_distances_and_recession_bit_identical_to_scalar_loop(case):
-    u, points = case
+    rows, cells, points = case
+    u = union_of(list(rows.cells) + cells)
     assert distance_outcome(recession_cone_detail, u) == distance_outcome(ref_recession_cone_detail, u)
     for cell in u.cells:
-        got = cell_distances(np.array(points).reshape(-1, u.dim), cell)
-        assert [repr(float(d)) for d in got] == [repr(point_to_cell_distance(p, cell)) for p in points]
+        want = [distance_outcome(ref_point_to_cell_distance, p, cell) for p in points]
+        try:
+            got = [repr(float(d)) for d in cell_distances(np.array(points).reshape(-1, u.dim), cell)]
+        except UnsupportedCellCombination as e:  # refused for the cell, so for every point
+            got = [f"{type(e).__name__}: {e}"] * len(points)
+        assert got == want
+        assert [distance_outcome(point_to_cell_distance, p, cell) for p in points] == want
+
+
+grid = st.integers(-12, 12).map(lambda k: k / 4.0)
+
+
+@st.composite
+def interval_union(draw):
+    """Intervals, points and balls in d = 1; the coarse grid makes nested,
+    overlapping and touching intervals common, and lo == hi a single point."""
+    x = st.one_of(grid, real)
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = sorted([draw(x), draw(x)])
+        kind = draw(st.sampled_from(["interval", "interval", "point", "ball"]))
+        if kind == "interval":
+            cells.append(interval_cell(lo, hi))
+        elif kind == "point":
+            cells.append(point_cell((lo,)))
+        else:
+            cells.append(ball_cell((lo,), hi - lo))
+    return union_of(cells)
+
+
+@st.composite
+def convex_cell_2d(draw):
+    vec = st.tuples(real, real)
+    if draw(st.integers(0, 4)) == 0:
+        return ball_cell(draw(vec), draw(st.floats(0.0, 4.0)))
+    return poly_cell(draw(st.lists(vec, min_size=1, max_size=6)))
+
+
+@st.composite
+def hausdorff_pair(draw):
+    kind = draw(st.sampled_from(["d1", "points", "convex_pair"]))
+    if kind == "d1":
+        return draw(interval_union()), draw(interval_union())
+    if kind == "points":
+        vec = st.tuples(*[real] * draw(st.integers(1, 3)))
+        return tuple(point_union(draw(st.lists(vec, min_size=1, max_size=8))) for _ in range(2))
+    return union_of([draw(convex_cell_2d())]), union_of([draw(convex_cell_2d())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hausdorff_pair())
+@example((union_of([interval_cell(0.0, 3.0)]),
+          union_of([interval_cell(0.0, 1.0), interval_cell(0.2, 0.3), interval_cell(2.0, 3.0)])))
+@example((point_union([(1.001, 3.178, 2.205)]), point_union([(-2.198, -1.599, 2.988)])))  # sum order shows
+def test_hausdorff_bit_identical_to_scalar_paths(pair):
+    a, b = pair
+    assert distance_outcome(hausdorff, a, b) == distance_outcome(ref_hausdorff, a, b)
+    assert distance_outcome(hausdorff, b, a) == distance_outcome(ref_hausdorff, b, a)
+
+
+@st.composite
+def window_union(draw, dim):
+    """Points, rays, segments, polygons, sectors, lines and the full space:
+    the coarse grid makes shared and touching pieces common."""
+    vec = st.tuples(*[st.one_of(grid, real)] * dim)
+    cells = draw(st.lists(canonical_cell(dim, vec), min_size=2, max_size=4))
+    return union_of([c for c in cells if not isinstance(c.base, Ball)] or [point_cell(draw(vec))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(window_union(dim), window_union(dim))), st.floats(0.5, 6.0))
+@example((union_of([poly_cell([(0.0, 0.0), (1.0, 0.0)])]), point_union([(0.0, 0.3), (1.0, 0.3)])), 4.0)  # sup inside the edge
+def test_hausdorff_windowed_bit_identical_to_scalar_sup(pair, R):
+    a, b = pair
+    assert distance_outcome(hausdorff_windowed, a, b, R) == distance_outcome(ref_hausdorff_windowed, a, b, R)
 
 
 @settings(max_examples=200, deadline=None)
@@ -444,27 +712,6 @@ def test_zero_direction_before_the_separating_one_raises():
 # ---------------------------------------------------------------------------
 # Canonical forms are fixed points. Arbitrary floats again: a generator that
 # is a unit vector up to its last bits must not be divided by its norm twice.
-
-
-@st.composite
-def unit_or_any(draw, dim):
-    if dim == 2 and draw(st.booleans()):
-        t = draw(st.floats(-math.pi, math.pi))
-        return (math.cos(t), math.sin(t))
-    g = draw(st.tuples(*[real] * dim).filter(lambda g: math.hypot(*g) > 1e-3))
-    return tuple(c / math.hypot(*g) for c in g) if draw(st.booleans()) else g
-
-
-@st.composite
-def canonical_cell(draw):
-    dim = draw(st.integers(1, 3))
-    g, h = draw(unit_or_any(dim)), draw(unit_or_any(dim))
-    minus = tuple(-c for c in g)
-    cones = {"none": [], "ray": [g], "sector": [g, h], "line": [g, minus], "half_plane": [g, minus, h]}
-    gens = cones[draw(st.sampled_from(sorted(cones)))]
-    if draw(st.booleans()):
-        return ball_cell(draw(st.tuples(*[real] * dim)), draw(st.floats(0.0, 4.0)), gens)
-    return poly_cell(draw(st.lists(st.tuples(*[real] * dim), min_size=1, max_size=4)), gens)
 
 
 def rebuild(cell):
