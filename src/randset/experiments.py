@@ -120,6 +120,14 @@ def lattice_two_point_hausdorff(m: float, n: int) -> float:
     return max(max(cands), _lattice_distance(0.0, m, n), _lattice_distance(1.0, m, n))
 
 
+def _running_means(spec: SetProcessSpec, n_max: int, checkpoints, seed):
+    """(mu, means): the driver's mean and running means at the checkpoints,
+    of radii clamped at 0 for random_ball, as `sample_set` clamps them."""
+    ball = spec.family == "random_ball"
+    mu = clamped_mean(spec.driver) if ball else spec.driver.mean
+    return mu, checkpoint_means(spec.driver, n_max, checkpoints, seed, clamp=ball)
+
+
 def run_hausdorff_slln(
     spec: SetProcessSpec, target: str, n_max: int, checkpoints, seeds
 ) -> list[Trajectory]:
@@ -137,11 +145,9 @@ def run_hausdorff_slln(
     if target not in ("A", "coA"):
         raise ValueError("target must be 'A' or 'coA'")
     checkpoints = [int(c) for c in checkpoints]
-    ball = spec.family == "random_ball"  # radii clamped at 0, as `sample_set` clamps them
-    mu = clamped_mean(spec.driver) if ball else spec.driver.mean
     out = []
     for seed in seeds:
-        means = checkpoint_means(spec.driver, n_max, checkpoints, seed, clamp=ball)
+        mu, means = _running_means(spec, n_max, checkpoints, seed)
         values = []
         for cp, m in zip(checkpoints, means):
             if spec.family == "two_point":
@@ -457,9 +463,7 @@ def _km_ray(spec, probes, R, n_max, checkpoints, seed, tolerance):
 
 
 def _km_bounded(spec, probes, R, checkpoints, seed, tolerance):
-    ball = spec.family == "random_ball"
-    mu = clamped_mean(spec.driver) if ball else spec.driver.mean
-    means = checkpoint_means(spec.driver, checkpoints[-1], checkpoints, seed, clamp=ball)
+    mu, means = _running_means(spec, checkpoints[-1], checkpoints, seed)
     probe_rows = [[] for _ in probes]
     excess, methods = [], []
     for cp, m in zip(checkpoints, means):

@@ -1,4 +1,4 @@
-"""Exact algebra of closed subsets of R^d (d in {1, 2, 3}).
+"""Exact algebra of closed subsets of the line and the plane (d in {1, 2}).
 
 The atom is a convex cell "base plus cone": the base is either a finite vertex
 set (standing for its convex hull) or a closed ball, and the cone is a finitely
@@ -67,11 +67,15 @@ class EmptyAfterWindow(GeometryError):
 # vectors
 
 
+def _check_dim(dim: int) -> None:
+    if dim not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {dim}")
+
+
 def as_vector(coords, dim: int | None = None) -> tuple[float, ...]:
     """Validate and normalize a coordinate sequence into a canonical tuple."""
     v = tuple(float(c) for c in coords)
-    if not 1 <= len(v) <= 3:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {len(v)}")
+    _check_dim(len(v))
     if dim is not None and len(v) != dim:
         raise ValueError(f"expected dimension {dim}, got {len(v)}")
     for c in v:
@@ -152,10 +156,12 @@ class Cone:
 
     @staticmethod
     def trivial(dim: int) -> "Cone":
+        _check_dim(dim)
         return Cone(dim=dim)
 
     @staticmethod
     def from_generators(dim: int, generators, full_space: bool = False) -> "Cone":
+        _check_dim(dim)
         if full_space:
             return Cone(dim=dim, generators=(), full_space=True)
         units = []
@@ -177,10 +183,7 @@ class Cone:
             if pos and neg:
                 return Cone(dim=1, full_space=True)
             return Cone(dim=1, generators=((1.0,),) if pos else ((-1.0,),))
-        if dim == 2:
-            return _canon_cone_2d(units)
-        # d=3: no extreme-ray reduction, canonical up to dedup/sort
-        return Cone(dim=3, generators=tuple(sorted(units)))
+        return _canon_cone_2d(units)
 
     def merge(self, other: "Cone") -> "Cone":
         if self.dim != other.dim:
@@ -238,27 +241,25 @@ def cone_contains(cone: Cone, v, tol: float = 1e-9) -> bool:
         return False
     if cone.dim == 1:
         return v[0] * cone.generators[0][0] > 0
-    if cone.dim == 2:
-        gens = cone.generators
-        if len(gens) == 1:
-            g = gens[0]
-            return abs(_cross2(g, v)) <= tol * n and vdot(g, v) > 0
-        if len(gens) == 3:  # half-plane {u, -u, inward normal}
-            normal = gens[0]
-            for g in gens:
-                others = [h for h in gens if h != g]
-                if abs(_cross2(others[0], others[1])) <= 1e-9:
-                    normal = g  # the one whose two companions are collinear
-                    break
-            return vdot(normal, v) >= -tol * n
-        g1, g2 = gens
-        det = _cross2(g1, g2)
-        if abs(det) <= 1e-12:  # line through g1
-            return abs(_cross2(g1, v)) <= tol * n
-        a = _cross2(v, g2) / det
-        b = _cross2(g1, v) / det
-        return a >= -tol and b >= -tol
-    return _in_hull_lp(v, [(0.0, 0.0, 0.0)], cone.generators)
+    gens = cone.generators
+    if len(gens) == 1:
+        g = gens[0]
+        return abs(_cross2(g, v)) <= tol * n and vdot(g, v) > 0
+    if len(gens) == 3:  # half-plane {u, -u, inward normal}
+        normal = gens[0]
+        for g in gens:
+            others = [h for h in gens if h != g]
+            if abs(_cross2(others[0], others[1])) <= 1e-9:
+                normal = g  # the one whose two companions are collinear
+                break
+        return vdot(normal, v) >= -tol * n
+    g1, g2 = gens
+    det = _cross2(g1, g2)
+    if abs(det) <= 1e-12:  # line through g1
+        return abs(_cross2(g1, v)) <= tol * n
+    a = _cross2(v, g2) / det
+    b = _cross2(g1, v) / det
+    return a >= -tol and b >= -tol
 
 
 def cone_is_subset(inner: Cone, outer: Cone) -> bool:
@@ -310,8 +311,7 @@ def extreme_points(points, dim: int):
     """Extreme points of the convex hull of a finite point set.
 
     d=1: interval endpoints. d=2: monotone chain, counterclockwise starting at
-    the lexicographically smallest vertex. d=3: LP-based redundancy filter
-    (robust to degenerate, lower-dimensional inputs).
+    the lexicographically smallest vertex.
     """
     pts = _dedup_points([as_vector(p, dim) for p in points])
     if not pts:
@@ -321,9 +321,7 @@ def extreme_points(points, dim: int):
     if dim == 1:
         lo, hi = min(pts), max(pts)
         return [lo] if _close(lo, hi) else [lo, hi]
-    if dim == 2:
-        return _hull_2d(pts)
-    return sorted(_drop_absorbed(pts, ()))
+    return _hull_2d(pts)
 
 
 def _hull_2d(pts):
@@ -544,14 +542,14 @@ def _cell_key(cell: ConvexCell):
 
 def point_union(points) -> SetUnion:
     """`union_of(point_cell(p) for p in points)`, canonicalised as one array.
-    Input that is not a finite (m, d) array with 1 <= d <= 3 goes through
+    Input that is not a finite (m, d) array with d in {1, 2} goes through
     that expression, so it raises the same error."""
     points = list(points)
     try:
         P = np.array(points, dtype=float)
     except (TypeError, ValueError):
         P = None
-    if P is None or P.ndim != 2 or not 1 <= P.shape[1] <= 3 or not np.isfinite(P).all():
+    if P is None or P.ndim != 2 or P.shape[1] not in (1, 2) or not np.isfinite(P).all():
         return union_of(point_cell(p) for p in points)
     return SetUnion({Cone.trivial(P.shape[1]): _unique_rows(P + 0.0)})
 
@@ -709,13 +707,10 @@ _ROW_SCALARS = {1: np.float64, 2: np.complex128}  # a row as one scalar that sor
 
 
 def _unique_rows(A: np.ndarray) -> np.ndarray:
-    """The rows of A that differ by value, sorted. Rows of d <= 2 sort as one
-    real or complex scalar; the stable sort merges the nearly sorted runs that
+    """The rows of A that differ by value, sorted. A row sorts as one real or
+    complex scalar; the stable sort merges the nearly sorted runs that
     `translate_sum` concatenates in about linear time."""
-    scalar = _ROW_SCALARS.get(A.shape[1])
-    if scalar is None:
-        return np.unique(A, axis=0)
-    s = np.sort(np.ascontiguousarray(A).view(scalar).ravel(), kind="stable")
+    s = np.sort(np.ascontiguousarray(A).view(_ROW_SCALARS[A.shape[1]]).ravel(), kind="stable")
     return s[np.r_[True, s[1:] != s[:-1]]].view(np.float64).reshape(-1, A.shape[1])
 
 
@@ -908,8 +903,6 @@ def _polytope_distances(P: np.ndarray, verts) -> np.ndarray:
         return _pymax(_pymax(V[0, 0] - P[:, 0], P[:, 0] - V[-1, 0]), 0.0)
     if len(V) == 2:
         return _segment_distances(P, V[:1], V[1:])[:, 0]
-    if V.shape[1] > 2:
-        raise UnsupportedCellCombination("distances to polytopes of three or more vertices need d <= 2")
     E = np.roll(V, -1, axis=0)
     D, W = E - V, P[:, None, :] - V
     outside = (D[:, 0] * W[..., 1] - D[:, 1] * W[..., 0] < -1e-12).any(axis=1)
@@ -939,8 +932,7 @@ def cell_distances(points, cell: ConvexCell) -> np.ndarray:
     bit for bit: elementwise numpy and `_coord_dot` sums only (no `@`, einsum
     or BLAS), Python's max and min as `np.where` comparisons, and -0.0 read
     as 0.0, as `as_vector` does. Raises UnsupportedCellCombination, for any
-    m, for a ball with a cone, a d = 3 cone cell other than a ray, and a d = 3
-    polytope of three or more vertices, which would need a 3-d hull.
+    m, for a ball with a cone.
     """
     P = np.asarray(points, dtype=float) + 0.0
     if isinstance(cell.base, Ball):
@@ -952,8 +944,6 @@ def cell_distances(points, cell: ConvexCell) -> np.ndarray:
         return _polytope_distances(P, verts)
     if len(verts) == 1 and len(cone.generators) == 1:
         return _translate_distances(P, np.array(verts[0]), cone)
-    if cell.dim > 2:
-        raise UnsupportedCellCombination("cone-cell distances only implemented for d <= 2")
     reach = _norms(P) + max(vnorm(v) for v in verts) + 1.0
     out = np.empty(len(P))
     for r in np.unique(reach):
@@ -1054,8 +1044,6 @@ def _hausdorff_convex_pair(a: ConvexCell, b: ConvexCell) -> float:
             dc = vnorm(vsub(ball.base.center, other.base.vertices[0]))
             return dc + ball.base.radius
         raise UnsupportedCellCombination("exact ball-vs-polytope Hausdorff is not supported")
-    if a.dim > 2:
-        raise UnsupportedCellCombination("exact polytope Hausdorff is only implemented for d <= 2")
     # distance to a convex set is convex, so each directed sup sits at a vertex
     return float(max(cell_distances(a.base.vertices, b).max(), cell_distances(b.base.vertices, a).max()))
 
@@ -1063,8 +1051,8 @@ def _hausdorff_convex_pair(a: ConvexCell, b: ConvexCell) -> float:
 def hausdorff(a: SetUnion, b: SetUnion) -> float:
     """Exact Hausdorff distance between bounded unions.
 
-    Exact cases: any bounded union in d=1; finite point sets in any d; single
-    convex cell pairs (polytope-polytope in d <= 2, ball-ball, point-ball).
+    Exact cases: any bounded union in d=1; finite point sets in d=2; single
+    convex cell pairs (polytope-polytope, ball-ball, point-ball).
     Other combinations raise UnsupportedCellCombination rather than
     approximating.
     """
@@ -1133,8 +1121,6 @@ def _clip_cell_to_box(cell: ConvexCell, R: float):
         if lo > hi:
             return None
         return [(lo,)] if lo == hi else [(lo,), (hi,)]
-    if cell.dim != 2:
-        raise UnsupportedCellCombination("windowed Hausdorff is only implemented for d <= 2")
     verts = _truncated_polytope(cell, math.sqrt(2.0) * R)
     for normal, offset in (((1.0, 0.0), R), ((-1.0, 0.0), R), ((0.0, 1.0), R), ((0.0, -1.0), R)):
         verts = _clip_polygon_halfplane(verts, normal, offset)
@@ -1175,8 +1161,8 @@ def hausdorff_windowed(a: SetUnion, b: SetUnion, window_radius: float) -> float:
     d(., B) is 1-Lipschitz. Inside a 2-d piece the sup can be larger still:
     for the unit square against its four corners this returns 0.5, not 0.7071.
     """
-    if window_radius <= 0:
-        raise ValueError("window_radius must be positive")
+    if not math.isfinite(window_radius) or window_radius <= 0:
+        raise ValueError("window_radius must be positive and finite")
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     ca = [v for c in a.cells if (v := _clip_cell_to_box(c, window_radius)) is not None]
@@ -1242,38 +1228,20 @@ def _vdc_bits(k: np.ndarray, bits: int = 32) -> np.ndarray:
     return v
 
 
-def _halton(k: np.ndarray, base: int) -> np.ndarray:
-    v = np.zeros(k.shape, dtype=np.float64)
-    kk = k.astype(np.int64, copy=True)
-    f = 1.0 / base
-    while kk.max() > 0:
-        v += (kk % base) * f
-        kk //= base
-        f /= base
-    return v
-
-
 def spread_directions(n: int, dim: int) -> list[tuple[float, ...]]:
     """n unit directions; prefixes are nested, so sampled sups grow with n.
 
-    d=2 uses the bit-reversed (van der Corput) ordering of equally spaced
-    angles: any prefix is low-discrepancy and prefixes of length 2^k are
-    exactly uniform grids.
+    d=1 alternates +1 and -1. d=2 uses the bit-reversed (van der Corput)
+    ordering of equally spaced angles: any prefix is low-discrepancy and
+    prefixes of length 2^k are exactly uniform grids.
     """
+    _check_dim(dim)
     if n < 1:
         raise ValueError("need at least one direction")
-    k = np.arange(n)
     if dim == 1:
         return [((1.0,) if i % 2 == 0 else (-1.0,)) for i in range(n)]
-    if dim == 2:
-        theta = 2.0 * math.pi * _vdc_bits(k)
-        return [(math.cos(t), math.sin(t)) for t in theta]
-    u = _vdc_bits(k)
-    v = _halton(k + 1, 3)
-    z = 2.0 * u - 1.0
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = 2.0 * math.pi * v
-    return [(float(r[i] * math.cos(phi[i])), float(r[i] * math.sin(phi[i])), float(z[i])) for i in range(n)]
+    theta = 2.0 * math.pi * _vdc_bits(np.arange(n))
+    return [(math.cos(t), math.sin(t)) for t in theta]
 
 
 @lru_cache(maxsize=16)

@@ -12,9 +12,11 @@ from randset.geometry import (
     NegativeScale,
     UnboundedOperand,
     UnsupportedCellCombination,
+    as_vector,
     ball_cell,
     cone_contains,
     convex_hull,
+    dual_direction,
     format_set_union,
     hausdorff,
     hausdorff_via_support,
@@ -414,6 +416,13 @@ def test_windowed_empty_window():
         hausdorff_windowed(a, u_ray((1, 0)), 1.0)
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+@pytest.mark.parametrize("other", [point_union([(0.0, 0.0), (1.0, 0.0)]), u_ray((1, 0))], ids=["points", "ray"])
+def test_windowed_refuses_a_non_finite_radius(R, other):
+    with pytest.raises(ValueError, match="window_radius must be positive and finite"):
+        hausdorff_windowed(point_union([(0.0, 0.0)]), other, R)
+
+
 def test_windowed_1d():
     a = union_of([poly_cell([(0.0,)], cone_generators=[(1.0,)])])
     b = union_of([poly_cell([(0.5,)], cone_generators=[(1.0,)])])
@@ -514,14 +523,22 @@ def test_generators_all_on_a_line_give_the_line():
     assert Cone.from_generators(2, [(1, 0), (-1, 0), nearly_x]) == Cone.from_generators(2, [(1, 0), (-1, 0)])
 
 
-@pytest.mark.parametrize(
-    "v, inside",
-    [((1.0, 1.0, 1.0), True), ((2.0, 0.0, 3.0), True), ((-1.0, 0.5, 0.5), False), ((0.0, 0.0, -1.0), False)],
-    ids=["interior", "on_a_face", "outside", "below"],
-)
-def test_cone_contains_3d(v, inside):
-    octant = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert cone_contains(octant, v) is inside
+@pytest.mark.parametrize("d", [3, 4])
+def test_only_the_line_and_the_plane_are_accepted(d):
+    v = (0.5,) + (0.0,) * (d - 1)
+    for build in (
+        lambda: as_vector(v),
+        lambda: dual_direction(v),
+        lambda: Cone.from_generators(d, []),
+        lambda: Cone.from_generators(d, [], full_space=True),
+        lambda: Cone.trivial(d),
+        lambda: spread_directions(4, d),
+        lambda: poly_cell([v]),
+        lambda: ball_cell(v, 1.0),
+        lambda: point_union([v]),
+    ):
+        with pytest.raises(ValueError, match=f"dimension must be 1 or 2, got {d}"):
+            build()
 
 
 def test_d1_cone_forms():

@@ -7,10 +7,14 @@ counts as used only when that function uses the name; a module-level import
 counts as used anywhere in the module. `__init__.py` is skipped, because its
 imports are the package's exports. A private function, class or constant
 defined at module level counts as read when any module of the package loads
-it, by name or as an attribute.
+it, by name or as an attribute. Importing the package loads no
+`scipy.optimize`, which takes about a quarter of a second to import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,3 +110,10 @@ def test_private_name_checker_finds_unread_definitions():
 
 def test_no_unread_private_names():
     assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_import_loads_no_scipy_optimize():
+    code = "import sys, randset; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(randset.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
