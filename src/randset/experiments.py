@@ -368,6 +368,9 @@ def km_probes(spec: SetProcessSpec, probes, window_radius: float) -> list[tuple[
     return probes
 
 
+_KM_CELL_BUDGET_N = 16  # run_km_diagnostics builds S_n cell by cell up to this n
+
+
 def run_km_diagnostics(
     spec: SetProcessSpec,
     probes,
@@ -376,14 +379,13 @@ def run_km_diagnostics(
     checkpoints,
     seed: int,
     tolerance: float = 0.05,
-    cell_budget_n: int = 16,
 ) -> KMReport:
     """Distance proxies for Kuratowski-Mosco convergence of S_n to D.
 
     The inner proxy tracks max over probe points of d(probe, S_n within the
     window); the outer proxy tracks sup over S_n in the window of d(., D).
     Both come from cell geometry when the exact expansion fits the budget
-    (n <= cell_budget_n) and from the family's parametric structure otherwise
+    (n <= _KM_CELL_BUDGET_N) and from the family's parametric structure otherwise
     (halo: the r_n bound; ray: window_radius * sin of the widest tilt).
     In R^d on a bounded window weak and strong sequential limits coincide, so
     one distance pair serves for both.
@@ -393,7 +395,7 @@ def run_km_diagnostics(
         raise ValueError("checkpoints must be sorted and within 1..n_max")
     probes = km_probes(spec, probes, window_radius)
     if spec.family == "needle_halo":
-        return _km_needle(spec, probes, window_radius, checkpoints, seed, tolerance, cell_budget_n)
+        return _km_needle(spec, probes, window_radius, checkpoints, seed, tolerance)
     if spec.family == "random_ray":
         return _km_ray(spec, probes, window_radius, n_max, checkpoints, seed, tolerance)
     return _km_bounded(spec, probes, window_radius, checkpoints, seed, tolerance)
@@ -420,13 +422,13 @@ def _finish_km(probe_rows, excess, methods, probes, checkpoints, window_radius, 
     )
 
 
-def _km_needle(spec, probes, R, checkpoints, seed, tolerance, cell_budget_n):
-    n_exact = max((cp for cp in checkpoints if cp <= cell_budget_n), default=0)
+def _km_needle(spec, probes, R, checkpoints, seed, tolerance):
+    n_exact = max((cp for cp in checkpoints if cp <= _KM_CELL_BUDGET_N), default=0)
     at = {k: scale(1.0 / k, total) for k, total in _prefix_sums(spec, n_exact, seed) if k in checkpoints}
     probe_rows = [[] for _ in probes]
     excess, methods = [], []
     for cp in checkpoints:
-        if cp <= cell_budget_n:
+        if cp <= _KM_CELL_BUDGET_N:
             for i, p in enumerate(probes):
                 probe_rows[i].append(point_to_union_distance(p, at[cp]))
             # every cell is a translated ray or the leftover point; the sup of

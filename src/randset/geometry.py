@@ -20,9 +20,10 @@ cell lines are written straight from the rows. Every other cell is kept as a
 `ConvexCell`, one per value, in numeric key order. The tuple of all cells,
 `SetUnion.cells`, is built only when asked for. `_cell_line` is serialization
 only, and `format_set_union` sorts its lines. Every distance, from a point
-to a cell or a union and in each exact or windowed Hausdorff path, runs
-through one batched kernel, `cell_distances`, that rounds bit for bit as the
-scalar formulas do.
+to a cell or a union and in each exact or windowed Hausdorff path, and every
+containment question (is a vertex absorbed, is a box corner inside a clipped
+cell) runs through one batched kernel, `cell_distances`, that rounds bit for
+bit as the scalar formulas do; no solver is used.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from itertools import combinations, product
 import numpy as np
 
 DEDUP_TOL = 1e-12
+_CONE_TOL = 1e-9  # angular slack of cone_contains
 DEFAULT_CELL_BUDGET = 10**6
 _EDGE_SAMPLES = 128  # subdivision used only for union-vs-union windowed sups
 
@@ -229,8 +231,8 @@ def _canon_cone_2d(units) -> Cone:
     return Cone(dim=2, full_space=True)
 
 
-def cone_contains(cone: Cone, v, tol: float = 1e-9) -> bool:
-    """Whether a vector belongs to the cone (exact up to tol)."""
+def cone_contains(cone: Cone, v) -> bool:
+    """Whether a vector belongs to the cone (exact up to _CONE_TOL)."""
     v = as_vector(v, cone.dim)
     n = vnorm(v)
     if n <= DEDUP_TOL:
@@ -244,7 +246,7 @@ def cone_contains(cone: Cone, v, tol: float = 1e-9) -> bool:
     gens = cone.generators
     if len(gens) == 1:
         g = gens[0]
-        return abs(_cross2(g, v)) <= tol * n and vdot(g, v) > 0
+        return abs(_cross2(g, v)) <= _CONE_TOL * n and vdot(g, v) > 0
     if len(gens) == 3:  # half-plane {u, -u, inward normal}
         normal = gens[0]
         for g in gens:
@@ -252,14 +254,14 @@ def cone_contains(cone: Cone, v, tol: float = 1e-9) -> bool:
             if abs(_cross2(others[0], others[1])) <= 1e-9:
                 normal = g  # the one whose two companions are collinear
                 break
-        return vdot(normal, v) >= -tol * n
+        return vdot(normal, v) >= -_CONE_TOL * n
     g1, g2 = gens
     det = _cross2(g1, g2)
     if abs(det) <= 1e-12:  # line through g1
-        return abs(_cross2(g1, v)) <= tol * n
+        return abs(_cross2(g1, v)) <= _CONE_TOL * n
     a = _cross2(v, g2) / det
     b = _cross2(g1, v) / det
-    return a >= -tol and b >= -tol
+    return a >= -_CONE_TOL and b >= -_CONE_TOL
 
 
 def cone_is_subset(inner: Cone, outer: Cone) -> bool:
@@ -352,36 +354,15 @@ def _hull_2d(pts):
     return hull
 
 
-def _in_hull_lp(p, vertices, generators) -> bool:
-    from scipy.optimize import linprog
-
-    d = len(p)
-    nv, ng = len(vertices), len(generators)
-    A_eq = np.zeros((d + 1, nv + ng))
-    for j, v in enumerate(vertices):
-        A_eq[:d, j] = v
-        A_eq[d, j] = 1.0
-    for j, g in enumerate(generators):
-        A_eq[:d, nv + j] = g
-    b_eq = np.concatenate([np.array(p, dtype=float), [1.0]])
-    res = linprog(
-        c=np.zeros(nv + ng),
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * (nv + ng),
-        method="highs",
-    )
-    return res.status == 0
-
-
-def _drop_absorbed(vertices, generators):
-    """The vertices left after dropping, one at a time, each vertex that lies
-    in the convex hull of the others plus the cone of the generators."""
+def _drop_absorbed(vertices, cone: Cone):
+    """The vertices left after dropping, one at a time, each vertex that
+    `cell_distances` puts within DEDUP_TOL of the convex hull of the others
+    plus the cone."""
     kept = list(vertices)
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if others and _in_hull_lp(kept[i], others, generators):
+        others = ConvexCell(base=Polytope(vertices=tuple(kept[:i] + kept[i + 1 :])), cone=cone)
+        if others.base.vertices and cell_distances([kept[i]], others)[0] <= DEDUP_TOL:
             kept.pop(i)
         else:
             i += 1
@@ -400,7 +381,7 @@ def _poly_cell(vertices, cone: Cone) -> ConvexCell:
         return ConvexCell(base=Polytope(vertices=(tuple(0.0 for _ in range(d)),)), cone=cone)
     ext = extreme_points(vertices, d)
     if len(ext) > 1 and not cone.is_trivial:
-        ext = _drop_absorbed(ext, cone.generators)
+        ext = _drop_absorbed(ext, cone)
     ext = extreme_points(ext, d) if len(ext) > 1 else ext
     return ConvexCell(base=Polytope(vertices=tuple(ext)), cone=cone)
 
@@ -849,7 +830,7 @@ def _truncation_bound(cell: ConvexCell, reach: float) -> float:
     base_norm = max(vnorm(v) for v in cell.base.vertices)
     gens = cell.cone.generators
     kappa = 1.0
-    if len(gens) == 2:
+    if len(gens) == 2 and abs(_cross2(*gens)) > 1e-12:  # a sector; a line {u, -u} keeps 1
         c = max(-1.0, min(1.0, vdot(gens[0], gens[1])))
         kappa = max(math.cos(math.acos(c) / 2.0), 1e-6)
     return (2.0 * reach + 2.0 * base_norm + 1.0) / kappa
@@ -976,17 +957,24 @@ def point_to_union_distance(p, u: SetUnion) -> float:
 # Hausdorff distance (exact cases)
 
 
-def _intervals(u: SetUnion):
-    """(lo, hi) arrays of the cells of a bounded d = 1 union, sorted by (lo, hi)."""
-    ends = [(x, x) for A in u.groups.values() for x in A[:, 0].tolist()]  # points
+def _intervals(u: SetUnion, R: float = math.inf) -> np.ndarray:
+    """The (lo, hi) rows of the cells of a d = 1 union clipped to [-R, R],
+    sorted; a cell that misses [-R, R] gives no row. A cone holding -1
+    carries a cell's lower end to -R, one holding +1 its upper end to R. The
+    exact path reads a bounded union with R = inf, where nothing moves."""
+    ends = []
+    for cone, A in u.groups.items():
+        down, up = (cone.full_space or g in cone.generators for g in ((-1.0,), (1.0,)))
+        ends += [(-R if down else x, R if up else x) for x in A[:, 0].tolist()]
     for c in u.others:
         if isinstance(c.base, Ball):
             ends.append((c.base.center[0] - c.base.radius, c.base.center[0] + c.base.radius))
         else:
             ends.append((c.base.vertices[0][0], c.base.vertices[-1][0]))
     lo, hi = np.array(ends).T
-    order = np.lexsort((hi, lo))
-    return lo[order], hi[order]
+    lo, hi = np.maximum(lo, -R), np.minimum(hi, R)
+    rows = np.column_stack([lo, hi])[lo <= hi]
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
 
 
 def _to_intervals(x: np.ndarray, lo: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -1001,22 +989,17 @@ def _to_intervals(x: np.ndarray, lo: np.ndarray, reach: np.ndarray) -> np.ndarra
 
 
 def _directed_1d(a, b) -> float:
-    """sup over A of d(., B), for `_intervals` arrays. It is attained at A's
+    """sup over A of d(., B), for `_intervals` rows. It is attained at A's
     endpoints or at midpoints of B's gaps that lie in A (local maxima of the
     piecewise-linear distance). A gap of B starts at the running right end of
     the intervals before it, because a nested interval can end before the one
     preceding it does."""
-    (lo_a, hi_a), (lo_b, hi_b) = a, b
+    (lo_a, hi_a), (lo_b, hi_b) = a.T, b.T
     reach = np.maximum.accumulate(hi_b)
     gap = lo_b[1:] > reach[:-1]
     mid = 0.5 * (reach[:-1][gap] + lo_b[1:][gap])
     in_a = _to_intervals(mid, lo_a, np.maximum.accumulate(hi_a)) == 0.0
     return float(_to_intervals(np.concatenate([lo_a, hi_a, mid[in_a]]), lo_b, reach).max())
-
-
-def _hausdorff_1d(a: SetUnion, b: SetUnion) -> float:
-    ai, bi = _intervals(a), _intervals(b)
-    return max(_directed_1d(ai, bi), _directed_1d(bi, ai))
 
 
 def _point_rows(u: SetUnion):
@@ -1061,7 +1044,8 @@ def hausdorff(a: SetUnion, b: SetUnion) -> float:
     if not (a.is_bounded and b.is_bounded):
         raise UnboundedOperand("use hausdorff_windowed for unbounded operands")
     if a.dim == 1:
-        return _hausdorff_1d(a, b)
+        ai, bi = _intervals(a), _intervals(b)
+        return max(_directed_1d(ai, bi), _directed_1d(bi, ai))
     pa, pb = _point_rows(a), _point_rows(b)
     if pa is not None and pb is not None:
         return _hausdorff_points(pa, pb)
@@ -1076,57 +1060,44 @@ def hausdorff(a: SetUnion, b: SetUnion) -> float:
 # windowed Hausdorff for unbounded operands
 
 
-def _clip_polygon_halfplane(verts, normal, offset):
-    """Sutherland-Hodgman step: keep {x : <normal, x> <= offset}."""
-    if not verts:
-        return []
-    out = []
-    n = len(verts)
-    if n == 1:
-        return list(verts) if vdot(normal, verts[0]) <= offset + 1e-12 else []
-    for i in range(n if n > 2 else 1):
-        cur, nxt = verts[i], verts[(i + 1) % n]
-        c_in = vdot(normal, cur) <= offset + 1e-12
-        n_in = vdot(normal, nxt) <= offset + 1e-12
-        if c_in:
-            out.append(cur)
-        if c_in != n_in:
-            dc = vdot(normal, cur)
-            dn = vdot(normal, nxt)
-            t = (offset - dc) / (dn - dc)
-            out.append(vadd(cur, vscale(t, vsub(nxt, cur))))
-    if n == 2:  # segment: also keep the far endpoint test symmetric
-        cur, nxt = verts[1], verts[0]
-        c_in = vdot(normal, cur) <= offset + 1e-12
-        if c_in and cur not in out:
-            out.append(cur)
-    return out
+def _box_clips(A: np.ndarray, T: np.ndarray, R: float) -> list:
+    """The polygons A_i + hull(T), for the rows A_i and a canonical vertex
+    list T, clipped to the box [-R, R]^2 as `extreme_points` lists; a polygon
+    that misses the box gives none. A clip is the hull of the polygon's
+    vertices inside the box, the box corners that `_polytope_distances` puts
+    inside the polygon, and the crossings of its edges with the box's sides,
+    the crossed coordinate set exactly to +-R. A vertex or crossing may lie
+    DEDUP_TOL outside the box, as one on the box does after rounding."""
+    V = A[:, None, :] + T
+    corners = R * np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+    pts = [V, np.broadcast_to(corners, (len(A), 4, 2))]
+    keep = [(np.abs(V) <= R + DEDUP_TOL).all(axis=2),
+            _polytope_distances((corners - A[:, None, :]).reshape(-1, 2), T).reshape(-1, 4) == 0.0]
+    P, Q = (V, np.roll(V, -1, axis=1)) if len(T) > 2 else (V[:, :1], V[:, -1:])  # a point crosses nothing
+    for k, side in product((0, 1), (R, -R)):
+        with np.errstate(all="ignore"):  # an edge that does not cross may divide by 0
+            X = P + ((side - P[..., k]) / (Q[..., k] - P[..., k]))[..., None] * (Q - P)
+        X[..., k] = side
+        pts.append(X)
+        keep.append(((P[..., k] - side) * (Q[..., k] - side) < 0.0) & (np.abs(X[..., 1 - k]) <= R + DEDUP_TOL))
+    pts, keep = np.concatenate(pts, axis=1), np.concatenate(keep, axis=1)
+    return [extreme_points(p[m].tolist(), 2) for p, m in zip(pts, keep) if m.any()]
 
 
-def _clip_cell_to_box(cell: ConvexCell, R: float):
-    """Intersection of a (possibly unbounded) cell with [-R, R]^d, as vertices."""
-    if isinstance(cell.base, Ball):
-        raise UnsupportedCellCombination("windowed Hausdorff does not support ball cells")
-    if cell.dim == 1:
-        xs = [v[0] for v in cell.base.vertices]
-        lo, hi = min(xs), max(xs)
-        if not cell.cone.is_trivial:
-            if cell.cone.full_space:
-                lo, hi = -R, R
-            elif cell.cone.generators[0][0] > 0:
-                hi = R
-            else:
-                lo = -R
-        lo, hi = max(lo, -R), min(hi, R)
-        if lo > hi:
-            return None
-        return [(lo,)] if lo == hi else [(lo,), (hi,)]
-    verts = _truncated_polytope(cell, math.sqrt(2.0) * R)
-    for normal, offset in (((1.0, 0.0), R), ((-1.0, 0.0), R), ((0.0, 1.0), R), ((0.0, -1.0), R)):
-        verts = _clip_polygon_halfplane(verts, normal, offset)
-        if not verts:
-            return None
-    return extreme_points(verts, 2)
+def _window_pieces(u: SetUnion, R: float) -> list:
+    """The cells of a d = 2 union without balls clipped to [-R, R]^2, as
+    `extreme_points` lists, one per cell that meets the box: each translate
+    group, in cone order, against one truncated copy of its cone that reaches
+    sqrt(2) R past the farthest row, then each other cell against its own
+    truncated polytope."""
+    reach = math.sqrt(2.0) * R
+    pieces = []
+    for cone, A in u.groups.items():
+        apex = ConvexCell(base=Polytope(vertices=((0.0, 0.0),)), cone=cone)
+        pieces += _box_clips(A, np.array(_truncated_polytope(apex, reach + float(_norms(A).max()))), R)
+    for c in u.others:
+        pieces += _box_clips(np.zeros((1, 2)), np.array(_truncated_polytope(c, reach)), R)
+    return pieces
 
 
 def _directed_clipped(pieces_a, pieces_b) -> float:
@@ -1153,27 +1124,28 @@ def _directed_clipped(pieces_a, pieces_b) -> float:
 def hausdorff_windowed(a: SetUnion, b: SetUnion, window_radius: float) -> float:
     """Hausdorff distance between a and b after clipping to the box [-R, R]^d.
 
-    Exact in d = 1 and when each operand clips to one convex piece. When the
-    target of a direction, B in sup_{x in A} d(x, B), clips to more than one
-    piece, that sup is taken over A's vertices and 127 interior points of each
-    clipped edge, so the value is a lower bound. It is at most (longest
-    clipped edge) / 256 below the sup over the pieces' boundaries, because
-    d(., B) is 1-Lipschitz. Inside a 2-d piece the sup can be larger still:
-    for the unit square against its four corners this returns 0.5, not 0.7071.
+    The clip reads the union's arrays, never `.cells`: `_intervals` in d = 1,
+    `_window_pieces` in d = 2. Exact in d = 1 and when each operand clips to
+    one convex piece. When the target of a direction, B in
+    sup_{x in A} d(x, B), clips to more than one piece, that sup is taken
+    over A's vertices and 127 interior points of each clipped edge, so the
+    value is a lower bound. It is at most (longest clipped edge) / 256 below
+    the sup over the pieces' boundaries, because d(., B) is 1-Lipschitz.
+    Inside a 2-d piece the sup can be larger still: for the unit square
+    against its four corners this returns 0.5, not 0.7071. A union holding a
+    ball is refused before anything is clipped.
     """
     if not math.isfinite(window_radius) or window_radius <= 0:
         raise ValueError("window_radius must be positive and finite")
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    ca = [v for c in a.cells if (v := _clip_cell_to_box(c, window_radius)) is not None]
-    cb = [v for c in b.cells if (v := _clip_cell_to_box(c, window_radius)) is not None]
-    if not ca or not cb:
+    if any(isinstance(c.base, Ball) for c in a.others + b.others):
+        raise UnsupportedCellCombination("windowed Hausdorff does not support ball cells")
+    window, directed = (_intervals, _directed_1d) if a.dim == 1 else (_window_pieces, _directed_clipped)
+    wa, wb = window(a, window_radius), window(b, window_radius)
+    if not len(wa) or not len(wb):
         raise EmptyAfterWindow("a window operand is empty after clipping")
-    if a.dim == 1:
-        ua = union_of(interval_cell(v[0][0], v[-1][0]) for v in ca)
-        ub = union_of(interval_cell(v[0][0], v[-1][0]) for v in cb)
-        return _hausdorff_1d(ua, ub)
-    return max(_directed_clipped(ca, cb), _directed_clipped(cb, ca))
+    return max(directed(wa, wb), directed(wb, wa))
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_one_pass_halo_and_km_rows_match_the_per_n_reference(n_max, seed):
     assert halo_certificate(spec, n_max, seed) == want[-1]
     probes = [(0.0, 0.0), (0.25, 0.0), (1.0, 0.0)]
     checkpoints = list(range(1, n_max + 1)) + [20]
-    rep = run_km_diagnostics(spec, probes, 5.0, 20, checkpoints, seed, cell_budget_n=n_max)
+    rep = run_km_diagnostics(spec, probes, 5.0, 20, checkpoints, seed)
     exact = [reference_expansion(spec, cp, seed) for cp in checkpoints[:-1]]
     want_rows = [[min(point_to_cell_distance(p, c) for c in sn.cells) for sn in exact] + [0.0] for p in probes]
     want_excess = [max(point_to_cell_distance(c.base.vertices[0], AXIS_RAY) for c in sn.cells) for sn in exact]

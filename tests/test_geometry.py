@@ -429,6 +429,24 @@ def test_windowed_1d():
     assert hausdorff_windowed(a, b, 10.0) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.3, 2.5, -2.0])
+@pytest.mark.parametrize("v", [(0.0, 0.0), (0.5, -1.25)])
+def test_line_cells_are_read_at_full_precision(theta, v):
+    # a line {u, -u} is no sector of opening pi: its truncation stays short,
+    # so the distance keeps all its digits
+    u = (math.cos(theta), math.sin(theta))
+    line = poly_cell([v], [u, (-u[0], -u[1])])
+    for p in [(10.0, 3.0), (-7.5, 0.25), (0.1, -40.0), (3.0, 3.0)]:
+        want = abs(-(p[0] - v[0]) * u[1] + (p[1] - v[1]) * u[0])
+        assert abs(point_to_cell_distance(p, line) - want) <= 1e-12
+
+
+def test_windowed_line_is_clipped_on_the_box():
+    R = 3.21704661215517
+    x_axis = union_of([poly_cell([(0.0, 0.0)], [(1.0, 0.0), (-1.0, 0.0)])])
+    assert hausdorff_windowed(x_axis, point_union([(0.0, 0.0)]), R) == R
+
+
 # ---------------------------------------------------------------------------
 # recession cones
 

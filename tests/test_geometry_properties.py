@@ -12,9 +12,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from randset.geometry import (
     Ball,
+    Cone,
     ConvexCell,
     EmptyAfterWindow,
     GeometryError,
@@ -24,18 +26,20 @@ from randset.geometry import (
     _cell_key,
     _cell_line,
     _cell_sum,
-    _clip_cell_to_box,
     _close,
     _cross2,
     _hull_2d,
     _poly_cell,
+    _row_cells,
     _truncated_polytope,
+    _window_pieces,
     as_vector,
     ball_cell,
     cell_distances,
     cone_is_subset,
     convex_hull,
     dual_direction,
+    extreme_points,
     format_set_union,
     hausdorff,
     hausdorff_via_support,
@@ -56,6 +60,7 @@ from randset.geometry import (
     support,
     union_of,
     vadd,
+    vdot,
     vnorm,
     vscale,
     vsub,
@@ -448,16 +453,73 @@ def ref_directed_clipped(cells_a, cells_b):
     return best
 
 
+def ref_clip_polygon_halfplane(verts, normal, offset):
+    """Sutherland-Hodgman step: keep {x : <normal, x> <= offset}."""
+    if not verts:
+        return []
+    out = []
+    n = len(verts)
+    if n == 1:
+        return list(verts) if vdot(normal, verts[0]) <= offset + 1e-12 else []
+    for i in range(n if n > 2 else 1):
+        cur, nxt = verts[i], verts[(i + 1) % n]
+        c_in = vdot(normal, cur) <= offset + 1e-12
+        n_in = vdot(normal, nxt) <= offset + 1e-12
+        if c_in:
+            out.append(cur)
+        if c_in != n_in:
+            dc = vdot(normal, cur)
+            dn = vdot(normal, nxt)
+            t = (offset - dc) / (dn - dc)
+            out.append(vadd(cur, vscale(t, vsub(nxt, cur))))
+    if n == 2:  # segment: also keep the far endpoint test symmetric
+        cur, nxt = verts[1], verts[0]
+        c_in = vdot(normal, cur) <= offset + 1e-12
+        if c_in and cur not in out:
+            out.append(cur)
+    return out
+
+
+def ref_clip_cell_to_box(cell, R):
+    """Intersection of a (possibly unbounded) cell with [-R, R]^d, as
+    vertices, one cell and one half-plane at a time; None when empty."""
+    if isinstance(cell.base, Ball):
+        raise UnsupportedCellCombination("windowed Hausdorff does not support ball cells")
+    if cell.dim == 1:
+        xs = [v[0] for v in cell.base.vertices]
+        lo, hi = min(xs), max(xs)
+        if not cell.cone.is_trivial:
+            if cell.cone.full_space:
+                lo, hi = -R, R
+            elif cell.cone.generators[0][0] > 0:
+                hi = R
+            else:
+                lo = -R
+        lo, hi = max(lo, -R), min(hi, R)
+        if lo > hi:
+            return None
+        return [(lo,)] if lo == hi else [(lo,), (hi,)]
+    verts = _truncated_polytope(cell, math.sqrt(2.0) * R)
+    for normal, offset in (((1.0, 0.0), R), ((-1.0, 0.0), R), ((0.0, 1.0), R), ((0.0, -1.0), R)):
+        verts = ref_clip_polygon_halfplane(verts, normal, offset)
+        if not verts:
+            return None
+    return extreme_points(verts, 2)
+
+
 def ref_hausdorff_windowed(a, b, R):
-    ca = [v for c in a.cells if (v := _clip_cell_to_box(c, R)) is not None]
-    cb = [v for c in b.cells if (v := _clip_cell_to_box(c, R)) is not None]
+    """In d = 1, the reference clip of each cell and the scalar interval sup.
+    In d = 2, the scalar sup on the program's `_window_pieces`, which
+    `test_window_pieces_match_the_reference_clip` holds to the reference clip."""
+    ca = [v for c in a.cells if (v := ref_clip_cell_to_box(c, R)) is not None]
+    cb = [v for c in b.cells if (v := ref_clip_cell_to_box(c, R)) is not None]
     if not ca or not cb:
         raise EmptyAfterWindow("a window operand is empty after clipping")
     if a.dim == 1:
-        ua = union_of(interval_cell(v[0][0], v[-1][0]) for v in ca)
-        ub = union_of(interval_cell(v[0][0], v[-1][0]) for v in cb)
-        return ref_hausdorff_1d(ua, ub)
-    return max(ref_directed_clipped(ca, cb), ref_directed_clipped(cb, ca))
+        ai, bi = ([(v[0][0], v[-1][0]) for v in pieces] for pieces in (ca, cb))
+        return max(ref_directed_intervals(ai, bi), ref_directed_intervals(bi, ai))
+    pa, pb = _window_pieces(a, R), _window_pieces(b, R)
+    return max(ref_directed_clipped(pa, pb), ref_directed_clipped(pb, pa))
 
 
 def distance_outcome(f, *args):
@@ -571,6 +633,77 @@ def window_union(draw, dim):
 def test_hausdorff_windowed_bit_identical_to_scalar_sup(pair, R):
     a, b = pair
     assert distance_outcome(hausdorff_windowed, a, b, R) == distance_outcome(ref_hausdorff_windowed, a, b, R)
+
+
+def ref_window_pieces(u, R):
+    """The reference clip of each cell, in `_window_pieces` order: the rows of
+    each translate group, then the other cells."""
+    cells = [c for cone, A in u.groups.items() for c in _row_cells(cone, A)] + list(u.others)
+    return [v for c in cells if (v := ref_clip_cell_to_box(c, R)) is not None]
+
+
+def within(p, q, tol):
+    """Every vertex of p lies within tol of some vertex of q."""
+    return all(min(math.dist(x, y) for y in q) <= tol for x in p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_union(2), st.floats(0.5, 6.0))
+def test_window_pieces_match_the_reference_clip(u, R):
+    got, want = _window_pieces(u, R), ref_window_pieces(u, R)
+    tol = 1e-8 * max(1.0, R)
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert len(p) == len(q) and within(p, q, tol) and within(q, p, tol)
+
+
+def ref_in_hull_lp(p, vertices, generators) -> bool:
+    """Whether p is a convex combination of the vertices plus a nonnegative
+    combination of the generators, as a HiGHS feasibility LP."""
+    d = len(p)
+    nv, ng = len(vertices), len(generators)
+    A_eq = np.zeros((d + 1, nv + ng))
+    for j, v in enumerate(vertices):
+        A_eq[:d, j] = v
+        A_eq[d, j] = 1.0
+    for j, g in enumerate(generators):
+        A_eq[:d, nv + j] = g
+    b_eq = np.concatenate([np.array(p, dtype=float), [1.0]])
+    res = linprog(c=np.zeros(nv + ng), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * (nv + ng), method="highs")
+    return res.status == 0
+
+
+def ref_poly_cell(vertices, cone):
+    """`_poly_cell` with each absorbed vertex found by the LP."""
+    kept = extreme_points(vertices, cone.dim)
+    i = 0
+    while len(kept) > 1 and i < len(kept):
+        others = kept[:i] + kept[i + 1 :]
+        if ref_in_hull_lp(kept[i], others, cone.generators):
+            kept.pop(i)
+        else:
+            i += 1
+    kept = extreme_points(kept, cone.dim) if len(kept) > 1 else kept
+    return ConvexCell(base=Polytope(vertices=tuple(kept)), cone=cone)
+
+
+@st.composite
+def cell_with_cone(draw):
+    """Dyadic vertices under a ray, sector, line or half-plane cone of dyadic generators."""
+    dim = draw(st.integers(1, 2))
+    vec = st.tuples(*[coord] * dim)
+    g, h = draw(vec.filter(any)), draw(vec.filter(any))
+    minus = tuple(-c for c in g)
+    cones = {"ray": [g], "sector": [g, h], "line": [g, minus], "half_plane": [g, minus, h]}
+    kind = draw(st.sampled_from(sorted(cones) if dim == 2 else ["ray"]))
+    return draw(st.lists(vec, min_size=1, max_size=6)), Cone.from_generators(dim, cones[kind])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_with_cone())
+def test_absorbed_vertices_match_the_lp(case):
+    vertices, cone = case
+    assert repr(_poly_cell(vertices, cone)) == repr(ref_poly_cell(vertices, cone))
 
 
 @settings(max_examples=200, deadline=None)
