@@ -6,7 +6,9 @@ Usage:
 
 A config fully determines every output byte. Exit codes: 0 when the computed
 verdict matches the config's optional "expect" field (or no expectation was
-set), 1 on a verdict mismatch, 2 on an invalid config or malformed plot input.
+set), 1 on a verdict mismatch, 2 on an invalid config, on malformed plot input,
+or when the output directory cannot be created or written (one "<OSError
+subclass>: <message>" line on stderr, no traceback).
 Every schema or precondition failure of a config exits 2, before anything is
 drawn, with a "ConfigInvalid: <key>: <problem>" line per problem. The schema
 tables below (_CONFIG_KEYS and _EXPERIMENTS, with the driver, law and
@@ -577,7 +579,11 @@ def main(argv=None) -> int:
             print(f"ConfigInvalid: {p}", file=sys.stderr)
         return 2
     out_dir = args.out or cfg.output_dir or "out"
-    code, summary = run_config(cfg, out_dir, threads=max(1, args.threads))
+    try:
+        code, summary = run_config(cfg, out_dir, threads=max(1, args.threads))
+    except OSError as e:  # the output directory cannot be created or written
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return 2
     print(summary)
     return code
 

@@ -23,7 +23,9 @@ only, and `format_set_union` sorts its lines. Every distance, from a point
 to a cell or a union and in each exact or windowed Hausdorff path, and every
 containment question (is a vertex absorbed, is a box corner inside a clipped
 cell) runs through one batched kernel, `cell_distances`, that rounds bit for
-bit as the scalar formulas do; no solver is used.
+bit as the scalar formulas do; no solver is used. A cell with a cone is read
+from its facets (Minkowski-Weyl: hull(V) + C is an intersection of finitely
+many half-planes), so no distance or window clip cuts it to a polygon first.
 """
 
 from __future__ import annotations
@@ -342,8 +344,9 @@ def _hull_2d(pts):
     lower = build(pts)
     upper = build(reversed(pts))
     hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all collinear within tolerance collapses to a segment
-        return [pts[0], pts[-1]]
+    if len(hull) <= 2:  # collinear within tolerance: the farthest pair, by two sweeps
+        a = max(pts, key=lambda p: vnorm(vsub(p, pts[0])))
+        return sorted([a, max(pts, key=lambda p: vnorm(vsub(p, a)))])
     # counterclockwise starting from the lexicographically smallest vertex
     start = min(range(len(hull)), key=lambda i: hull[i])
     hull = hull[start:] + hull[:start]
@@ -826,35 +829,6 @@ def hull_membership_via_support(x, a: SetUnion, directions) -> MembershipVerdict
 # distances
 
 
-def _truncation_bound(cell: ConvexCell, reach: float) -> float:
-    base_norm = max(vnorm(v) for v in cell.base.vertices)
-    gens = cell.cone.generators
-    kappa = 1.0
-    if len(gens) == 2 and abs(_cross2(*gens)) > 1e-12:  # a sector; a line {u, -u} keeps 1
-        c = max(-1.0, min(1.0, vdot(gens[0], gens[1])))
-        kappa = max(math.cos(math.acos(c) / 2.0), 1e-6)
-    return (2.0 * reach + 2.0 * base_norm + 1.0) / kappa
-
-
-def _truncated_polytope(cell: ConvexCell, reach: float):
-    """Bounded polytope agreeing with the cell within distance `reach` of 0."""
-    verts = list(cell.base.vertices)
-    cone = cell.cone
-    if cone.is_trivial:
-        return verts
-    M = _truncation_bound(cell, reach)
-    gens = cone.generators
-    if cone.full_space:
-        gens = ((1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0)) if cell.dim == 2 else ((1.0,), (-1.0,))
-        gens = tuple(vscale(1.0 / vnorm(g), g) for g in gens)
-        M = 4.0 * reach + 1.0
-    pts = list(verts)
-    for v in verts:
-        for g in gens:
-            pts.append(vadd(v, vscale(M, g)))
-    return extreme_points(pts, cell.dim)
-
-
 def _norms(W: np.ndarray) -> np.ndarray:
     return np.sqrt(_coord_dot(W, W))
 
@@ -873,64 +847,81 @@ def _segment_distances(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarra
     return _norms(P[:, None, :] - (A + t[..., None] * AB))
 
 
-def _polytope_distances(P: np.ndarray, verts) -> np.ndarray:
-    """Distances from the rows of P to the hull of a canonical vertex list:
-    a point, a d = 1 interval, a segment, or a counterclockwise polygon in
-    d = 2 (0.0 inside, else the least edge distance)."""
-    V = np.array(verts)
-    if len(V) == 1:
-        return _norms(P - V[0])
-    if V.shape[1] == 1:
-        return _pymax(_pymax(V[0, 0] - P[:, 0], P[:, 0] - V[-1, 0]), 0.0)
-    if len(V) == 2:
-        return _segment_distances(P, V[:1], V[1:])[:, 0]
-    E = np.roll(V, -1, axis=0)
-    D, W = E - V, P[:, None, :] - V
-    outside = (D[:, 0] * W[..., 1] - D[:, 1] * W[..., 0] < -1e-12).any(axis=1)
-    return np.where(outside, _segment_distances(P, V, E).min(axis=1), 0.0)
+def _ray_distances(P: np.ndarray, V: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Distance from P to the rays V + t g (t >= 0), broadcast row by row."""
+    W = P - V
+    t = _coord_dot(W, g) / _coord_dot(g, g)
+    return np.where(t <= 0, _norms(W), _norms(P - (V + t[..., None] * g)))
 
 
 def _translate_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
     """Distance from P to the point V (trivial cone), or to the ray V + t g
     (t >= 0) of the cone's one generator g, with P and V broadcast against
     each other row by row."""
-    W = P - V
-    to_vertex = _norms(W)
-    if cone.is_trivial:
-        return to_vertex
-    g = np.array(cone.generators[0])
-    t = _coord_dot(W, g) / _coord_dot(g, g)
-    return np.where(t <= 0, to_vertex, _norms(P - (V + t[..., None] * g)))
+    return _norms(P - V) if cone.is_trivial else _ray_distances(P, V, np.array(cone.generators[0]))
+
+
+def _polytope_distances(P: np.ndarray, verts, cone: Cone) -> np.ndarray:
+    """Distances from the rows of P to hull(verts) + cone, for a canonical
+    vertex list (counterclockwise in d = 2) and cone.
+
+    A point or a ray is `_translate_distances`, the full space is 0.0, and
+    d = 1 is the distance to an interval whose ends a cone moves to -inf or
+    +inf. In d = 2 a cell is the intersection of its facet half-planes
+    (Minkowski-Weyl): the hull edges whose outward normal lies in the polar
+    cone C° = {n : <n, g> <= 0 for every generator g}, and the lines through
+    the extreme vertex along +g and -g of each generator where that normal
+    lies in C°. A point inside every facet (cross product of the facet's
+    direction and the point, unnormalised, at least -1e-12) is at 0.0;
+    otherwise its distance is the least to a hull edge or to a ray v + t g,
+    since the boundary lies in those pieces. A bounded polygon has no rays
+    and keeps every edge as a facet.
+    """
+    V = np.array(verts)
+    if cone.full_space:
+        return np.zeros(len(P))
+    if len(V) == 1 and len(cone.generators) < 2:
+        return _translate_distances(P, V[0], cone)
+    if V.shape[1] == 1:
+        lo = -math.inf if (-1.0,) in cone.generators else V[0, 0]
+        hi = math.inf if (1.0,) in cone.generators else V[-1, 0]
+        return _pymax(_pymax(lo - P[:, 0], P[:, 0] - hi), 0.0)
+    if len(V) == 2 and cone.is_trivial:
+        return _segment_distances(P, V[:1], V[1:])[:, 0]
+    G = np.array(cone.generators).reshape(-1, 2)
+    k = len(V) if len(V) > 1 else 0  # a lone vertex has no edges
+    E = np.roll(V, -1, axis=0)[:k]
+    O, D = V[:k], E - V[:k]  # each facet as an origin and a direction, the cell on its left
+    if len(G):
+        S = np.concatenate([G, -G])
+        O = np.concatenate([O, V[np.argmin(S[:, None, 0] * V[:, 1] - S[:, None, 1] * V[:, 0], axis=1)]])
+        D = np.concatenate([D, S])
+        facet = (_coord_dot(np.column_stack([D[:, 1], -D[:, 0]])[:, None, :], G) <= 0.0).all(axis=1)
+        O, D = O[facet], D[facet]
+    W = P[:, None, :] - O
+    outside = (D[:, 0] * W[..., 1] - D[:, 1] * W[..., 0] < -1e-12).any(axis=1)
+    pieces = [_segment_distances(P, V[:k], E)] + [_ray_distances(P[:, None, :], V, g) for g in G]
+    return np.where(outside, np.concatenate(pieces, axis=1).min(axis=1), 0.0)
 
 
 def cell_distances(points, cell: ConvexCell) -> np.ndarray:
     """Euclidean distance from each row of an (m, d) array to a convex cell.
 
-    The one distance kernel. It covers points, rays, segments, d = 1
-    intervals, 2-d convex polygons, balls, and 2-d cells with any other cone
-    through `_truncated_polytope`, built once per distinct point norm since
-    its size depends on it. Each entry equals the scalar formula on that row
-    bit for bit: elementwise numpy and `_coord_dot` sums only (no `@`, einsum
-    or BLAS), Python's max and min as `np.where` comparisons, and -0.0 read
-    as 0.0, as `as_vector` does. Raises UnsupportedCellCombination, for any
-    m, for a ball with a cone.
+    The one distance kernel. It covers balls and, through
+    `_polytope_distances`, every polytope cell: points, rays, segments, d = 1
+    intervals, 2-d convex polygons and 2-d cells under any cone, read from
+    their facets with no bound on the points. Each entry equals the scalar
+    formula on that row bit for bit: elementwise numpy and `_coord_dot` sums
+    only (no `@`, einsum or BLAS), Python's max and min as `np.where`
+    comparisons, and -0.0 read as 0.0, as `as_vector` does. Raises
+    UnsupportedCellCombination, for any m, for a ball with a cone.
     """
     P = np.asarray(points, dtype=float) + 0.0
     if isinstance(cell.base, Ball):
         if not cell.cone.is_trivial:
             raise UnsupportedCellCombination("distance to ball-with-cone cells is not supported")
         return _pymax(0.0, _norms(P - np.array(cell.base.center)) - cell.base.radius)
-    verts, cone = cell.base.vertices, cell.cone
-    if cone.is_trivial:
-        return _polytope_distances(P, verts)
-    if len(verts) == 1 and len(cone.generators) == 1:
-        return _translate_distances(P, np.array(verts[0]), cone)
-    reach = _norms(P) + max(vnorm(v) for v in verts) + 1.0
-    out = np.empty(len(P))
-    for r in np.unique(reach):
-        poly = _truncated_polytope(cell, float(r))
-        out[reach == r] = _polytope_distances(P[reach == r], _hull_2d(poly) if cell.dim == 2 else poly)
-    return out
+    return _polytope_distances(P, cell.base.vertices, cell.cone)
 
 
 def point_to_cell_distance(p, cell: ConvexCell) -> float:
@@ -1060,20 +1051,25 @@ def hausdorff(a: SetUnion, b: SetUnion) -> float:
 # windowed Hausdorff for unbounded operands
 
 
-def _box_clips(A: np.ndarray, T: np.ndarray, R: float) -> list:
-    """The polygons A_i + hull(T), for the rows A_i and a canonical vertex
-    list T, clipped to the box [-R, R]^2 as `extreme_points` lists; a polygon
-    that misses the box gives none. A clip is the hull of the polygon's
-    vertices inside the box, the box corners that `_polytope_distances` puts
-    inside the polygon, and the crossings of its edges with the box's sides,
-    the crossed coordinate set exactly to +-R. A vertex or crossing may lie
-    DEDUP_TOL outside the box, as one on the box does after rounding."""
+def _box_clips(A: np.ndarray, T: np.ndarray, cone: Cone, R: float) -> list:
+    """The cells A_i + hull(T) + cone, for the rows A_i, a canonical vertex
+    list T and a 2-d cone, clipped to the box [-R, R]^2 as `extreme_points`
+    lists; a cell that misses the box gives none. A clip is the hull of the
+    cell's vertices inside the box, the box corners that `_polytope_distances`
+    puts inside the cell, and the crossings of the box's sides with the
+    cell's edges and rays, the crossed coordinate set exactly to +-R. A ray
+    v + t g is drawn as the segment from v to v + (|v| + 2R) g, whose far end
+    lies outside the box. A vertex or crossing may lie DEDUP_TOL outside the
+    box, as one on the box does after rounding."""
     V = A[:, None, :] + T
     corners = R * np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
     pts = [V, np.broadcast_to(corners, (len(A), 4, 2))]
     keep = [(np.abs(V) <= R + DEDUP_TOL).all(axis=2),
-            _polytope_distances((corners - A[:, None, :]).reshape(-1, 2), T).reshape(-1, 4) == 0.0]
-    P, Q = (V, np.roll(V, -1, axis=1)) if len(T) > 2 else (V[:, :1], V[:, -1:])  # a point crosses nothing
+            _polytope_distances((corners - A[:, None, :]).reshape(-1, 2), T, cone).reshape(-1, 4) == 0.0]
+    n = len(T) if len(T) > 2 else len(T) - 1  # hull edges: a segment has one, a point none
+    P, Q, reach = V[:, :n], np.roll(V, -1, axis=1)[:, :n], (_norms(V) + 2.0 * R)[..., None]
+    for g in np.array(cone.generators).reshape(-1, 2):
+        P, Q = np.concatenate([P, V], axis=1), np.concatenate([Q, V + reach * g], axis=1)
     for k, side in product((0, 1), (R, -R)):
         with np.errstate(all="ignore"):  # an edge that does not cross may divide by 0
             X = P + ((side - P[..., k]) / (Q[..., k] - P[..., k]))[..., None] * (Q - P)
@@ -1086,17 +1082,13 @@ def _box_clips(A: np.ndarray, T: np.ndarray, R: float) -> list:
 
 def _window_pieces(u: SetUnion, R: float) -> list:
     """The cells of a d = 2 union without balls clipped to [-R, R]^2, as
-    `extreme_points` lists, one per cell that meets the box: each translate
-    group, in cone order, against one truncated copy of its cone that reaches
-    sqrt(2) R past the farthest row, then each other cell against its own
-    truncated polytope."""
-    reach = math.sqrt(2.0) * R
+    `extreme_points` lists, one per cell that meets the box: the rows of each
+    translate group, in cone order, then each other cell."""
     pieces = []
     for cone, A in u.groups.items():
-        apex = ConvexCell(base=Polytope(vertices=((0.0, 0.0),)), cone=cone)
-        pieces += _box_clips(A, np.array(_truncated_polytope(apex, reach + float(_norms(A).max()))), R)
+        pieces += _box_clips(A, np.zeros((1, 2)), cone, R)
     for c in u.others:
-        pieces += _box_clips(np.zeros((1, 2)), np.array(_truncated_polytope(c, reach)), R)
+        pieces += _box_clips(np.zeros((1, 2)), np.array(c.base.vertices), c.cone, R)
     return pieces
 
 
@@ -1117,16 +1109,16 @@ def _directed_clipped(pieces_a, pieces_b) -> float:
             pts += [p0 + t * (p1 - p0) for p0, p1 in edges]
     if not pts:
         return 0.0
-    P = np.concatenate(pts)
-    return max(0.0, float(np.min([_polytope_distances(P, vb) for vb in pieces_b], axis=0).max()))
+    P, bounded = np.concatenate(pts), Cone(dim=2)
+    return max(0.0, float(np.min([_polytope_distances(P, vb, bounded) for vb in pieces_b], axis=0).max()))
 
 
 def hausdorff_windowed(a: SetUnion, b: SetUnion, window_radius: float) -> float:
     """Hausdorff distance between a and b after clipping to the box [-R, R]^d.
 
     The clip reads the union's arrays, never `.cells`: `_intervals` in d = 1,
-    `_window_pieces` in d = 2. Exact in d = 1 and when each operand clips to
-    one convex piece. When the target of a direction, B in
+    `_window_pieces` in d = 2. Exact in d = 1 and, for every cone, when each
+    operand clips to one convex piece. When the target of a direction, B in
     sup_{x in A} d(x, B), clips to more than one piece, that sup is taken
     over A's vertices and 127 interior points of each clipped edge, so the
     value is a lower bound. It is at most (longest clipped edge) / 256 below

@@ -154,6 +154,8 @@ class ScalarDriver:
     seed: int = 0
 
     def __post_init__(self):
+        if self.m and self.family != "m_dependent":
+            raise ValueError("only an m_dependent driver takes m")
         if self.family == "finite_markov":
             P = np.asarray(self.transition, dtype=float)
             pi = np.asarray(self.stationary, dtype=float)
@@ -175,23 +177,24 @@ class ScalarDriver:
         else:
             raise ValueError(f"unknown driver family {self.family!r}")
 
+    @functools.cached_property
+    def laws(self) -> tuple[Law, Law]:
+        """The laws of the base draws at even and at odd 1-based indices:
+        an m_dependent draw averages m + 1 of them, and a Markov chain's
+        emissions are weighted by its stationary vector."""
+        if self.family == "finite_markov":
+            law = Law(kind="choice", values=self.emissions, weights=self.stationary)
+            return law, law
+        return self.law, self.law_odd if self.family == "alternating" else self.law
+
     @property
     def mean(self) -> float:
-        if self.family == "finite_markov":
-            return float(sum(p * e for p, e in zip(self.stationary, self.emissions)))
-        return self.law.mean
+        return self.laws[0].mean
 
     def variance_at(self, n: int) -> float:
-        """Variance of the draw at 1-based index n (parity matters only
-        for the alternating family)."""
-        if self.family == "finite_markov":
-            m = self.mean
-            return float(sum(p * (e - m) ** 2 for p, e in zip(self.stationary, self.emissions)))
-        if self.family == "alternating":
-            return self.law.variance if n % 2 == 0 else self.law_odd.variance
-        if self.family == "m_dependent":
-            return self.law.variance / (self.m + 1)
-        return self.law.variance
+        """Variance of the draw at 1-based index n: an average of m + 1
+        independent base draws divides it by m + 1."""
+        return self.laws[n % 2].variance / (self.m + 1)
 
 
 def _check_stationary(P: np.ndarray, pi: np.ndarray):
@@ -237,28 +240,25 @@ def fair_sign_driver(seed: int = 0) -> ScalarDriver:
 
 def _draw_block(driver: ScalarDriver, seed: int, start: int, count: int) -> np.ndarray:
     """Draws for 0-based indices start .. start+count-1 (index-stable)."""
-    if driver.family == "iid":
-        u = uniform_block(seed, STREAM_DRIVER, start, count)
-        return driver.law.quantile(u)
-    if driver.family == "alternating":
-        u = uniform_block(seed, STREAM_DRIVER, start, count)
-        idx1 = np.arange(start + 1, start + count + 1)  # 1-based indices
-        out = np.empty(count, dtype=float)
-        even = idx1 % 2 == 0
-        out[even] = driver.law.quantile(u[even])
-        out[~even] = driver.law_odd.quantile(u[~even])
-        return out
-    if driver.family == "m_dependent":
-        m = driver.m
-        u = uniform_block(seed, STREAM_DRIVER, start, count + m)
-        base = driver.law.quantile(u)
-        # fixed-order windowed sum keeps each output bit-identical no matter
-        # where the block boundaries fall
-        acc = base[:count].copy()
-        for i in range(1, m + 1):
-            acc += base[i : i + count]
-        return acc / (m + 1)
-    return np.asarray(driver.emissions, dtype=float)[_markov_states(driver, seed, start, count)]
+    if driver.family == "finite_markov":
+        return np.asarray(driver.emissions, dtype=float)[_markov_states(driver, seed, start, count)]
+    m, (even, odd) = driver.m, driver.laws
+    u = uniform_block(seed, STREAM_DRIVER, start, count + m)
+    if even == odd:
+        base = even.quantile(u)
+    else:
+        base = np.empty(count + m, dtype=float)
+        at_even = np.arange(start + 1, start + count + m + 1) % 2 == 0  # 1-based indices
+        base[at_even] = even.quantile(u[at_even])
+        base[~at_even] = odd.quantile(u[~at_even])
+    if m == 0:
+        return base
+    # fixed-order windowed sum keeps each output bit-identical no matter
+    # where the block boundaries fall
+    acc = base[:count]
+    for i in range(1, m + 1):
+        acc = acc + base[i : i + count]
+    return acc / (m + 1)
 
 
 class _KeptChain:

@@ -94,12 +94,10 @@ class SetProcessSpec:
 def _emitted_values(d: ScalarDriver) -> set[float]:
     """The finite set of values the driver emits; empty when it is not finite
     or not known: a continuous law, or an m_dependent average of m + 1 draws."""
-    if d.family == "finite_markov":
-        return set(d.emissions)
     if d.family == "m_dependent":
         return set()
     emitted = set()
-    for law in (d.law, d.law_odd) if d.family == "alternating" else (d.law,):
+    for law in d.laws:
         if law.kind == "choice":
             emitted |= set(law.values)
         elif law.kind == "constant":
@@ -131,14 +129,9 @@ def clamped_mean(driver: ScalarDriver) -> float:
     emit is below 0. An m_dependent average of a non-normal law that reaches
     below 0 has no closed form here and raises UnknownMoments.
     """
-    if driver.family == "finite_markov":
-        laws = [Law(kind="choice", values=driver.emissions, weights=driver.stationary)]
-    elif driver.family == "alternating":
-        laws = [driver.law, driver.law_odd]
-    elif driver.family == "m_dependent" and driver.law.kind == "normal":  # an average of normals is normal
-        laws = [Law.normal(driver.law.a, driver.law.b / math.sqrt(driver.m + 1))]
-    else:
-        laws = [driver.law]
+    laws = driver.laws
+    if driver.family == "m_dependent" and driver.law.kind == "normal":  # an average of normals is normal
+        laws = (Law.normal(driver.law.a, driver.law.b / math.sqrt(driver.m + 1)),) * 2
     means = [_clamped_law_mean(law) for law in laws]
     if all(m is None for m in means):
         return driver.mean

@@ -255,8 +255,19 @@ def family_driver(family):
     if family == "random_ray":
         return SIGN_DRIVERS
     if family == "random_ball":
-        return drivers.filter(lambda d: cli._scalar_driver(d).mean >= 0)
+        return drivers.filter(takes_ball_driver)
     return drivers
+
+
+def takes_ball_driver(d):
+    """Whether random_ball takes the driver: a nonnegative mean, and a clamped
+    mean in closed form (an m_dependent average of a non-normal law that
+    reaches below 0 has none and exits 2)."""
+    try:
+        processes.ball_process(cli._scalar_driver(d))
+    except (ValueError, processes.UnknownMoments):
+        return False
+    return True
 
 
 def mean(cfg):
@@ -537,6 +548,22 @@ def test_main_exit_codes(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(minimal_cfg()))
     assert main(["run", str(good), "--out", str(tmp_path / "o2")]) == 0
+
+
+@pytest.mark.parametrize("where", ["out_is_a_file", "output_dir_under_a_file"])
+def test_output_directory_that_cannot_be_created_exits_two(where, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    cfg = tmp_path / "cfg.json"
+    if where == "out_is_a_file":
+        cfg.write_text(json.dumps(minimal_cfg()))
+        argv = ["run", str(cfg), "--out", str(blocker)]
+    else:
+        cfg.write_text(json.dumps(minimal_cfg(output_dir=str(blocker / "sub"))))
+        argv = ["run", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Error: " in err and "Traceback" not in err
 
 
 def test_ball_with_unknown_clamped_mean_exits_two(tmp_path):

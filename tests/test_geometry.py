@@ -432,8 +432,8 @@ def test_windowed_1d():
 @pytest.mark.parametrize("theta", [1.0, 0.3, 2.5, -2.0])
 @pytest.mark.parametrize("v", [(0.0, 0.0), (0.5, -1.25)])
 def test_line_cells_are_read_at_full_precision(theta, v):
-    # a line {u, -u} is no sector of opening pi: its truncation stays short,
-    # so the distance keeps all its digits
+    # a line {u, -u} is read from its two facets through v, so the distance
+    # keeps all its digits
     u = (math.cos(theta), math.sin(theta))
     line = poly_cell([v], [u, (-u[0], -u[1])])
     for p in [(10.0, 3.0), (-7.5, 0.25), (0.1, -40.0), (3.0, 3.0)]:
@@ -445,6 +445,27 @@ def test_windowed_line_is_clipped_on_the_box():
     R = 3.21704661215517
     x_axis = union_of([poly_cell([(0.0, 0.0)], [(1.0, 0.0), (-1.0, 0.0)])])
     assert hausdorff_windowed(x_axis, point_union([(0.0, 0.0)]), R) == R
+
+
+def near_pi_sector():
+    """A sector 1e-8 short of a half-plane. A truncation sized by cos(opening
+    / 2), floored at 1e-6, cut it short and measured wrong distances."""
+    t = math.pi - 1e-8
+    return poly_cell([(0.0, 0.0)], [(1.0, 0.0), (math.cos(t), math.sin(t))])
+
+
+@pytest.mark.parametrize("p", [(0.0, 100.0), (0.0, 1.0), (3.0, 0.5)])
+def test_near_pi_sector_puts_its_points_at_zero(p):
+    cell = near_pi_sector()
+    assert cone_contains(cell.cone, p)
+    assert point_to_cell_distance(p, cell) == 0.0
+
+
+def test_windowed_near_pi_sector_is_exact():
+    # one piece on each side, so the value is exact: the sector clips to the
+    # upper half of the box, whose top corners lie 3 sqrt(2) from the origin
+    got = hausdorff_windowed(union_of([near_pi_sector()]), point_union([(0.0, 0.0)]), 3.0)
+    assert abs(got - 3.0 * math.sqrt(2.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

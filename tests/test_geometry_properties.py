@@ -28,10 +28,8 @@ from randset.geometry import (
     _cell_sum,
     _close,
     _cross2,
-    _hull_2d,
     _poly_cell,
     _row_cells,
-    _truncated_polytope,
     _window_pieces,
     as_vector,
     ball_cell,
@@ -332,20 +330,114 @@ def ref_point_to_polytope(p, verts):
     return min(ref_point_to_segment(p, verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts)))
 
 
+def ref_facet_distance(p, verts, gens):
+    """The facet rule of a 2-d cell hull(verts) + cone(gens), one facet and
+    one boundary piece at a time."""
+    n = len(verts)
+    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)] if n > 1 else []
+    facets = [(a, vsub(b, a)) for a, b in edges]
+    for g in gens:
+        for s in (g, vscale(-1.0, g)):
+            facets.append((min(verts, key=lambda v: _cross2(s, v)), s))
+    for o, d in facets:
+        if all(ref_dot((d[1], -d[0]), g) <= 0.0 for g in gens) and _cross2(d, vsub(p, o)) < -1e-12:
+            break
+    else:
+        return 0.0
+    segments = [ref_point_to_segment(p, a, b) for a, b in edges]
+    return min(segments + [ref_point_to_ray(p, v, g) for v in verts for g in gens])
+
+
 def ref_point_to_cell_distance(p, cell):
     p = as_vector(p, cell.dim)
     if isinstance(cell.base, Ball):
         if not cell.cone.is_trivial:
             raise UnsupportedCellCombination("distance to ball-with-cone cells is not supported")
         return max(0.0, vnorm(vsub(p, cell.base.center)) - cell.base.radius)
-    verts = cell.base.vertices
+    verts, gens = cell.base.vertices, cell.cone.generators
+    if cell.cone.full_space:
+        return 0.0
+    if len(verts) == 1 and len(gens) == 1:
+        return ref_point_to_ray(p, verts[0], gens[0])
     if cell.cone.is_trivial:
         return ref_point_to_polytope(p, verts)
-    if len(verts) == 1 and len(cell.cone.generators) == 1:
-        return ref_point_to_ray(p, verts[0], cell.cone.generators[0])
-    reach = vnorm(p) + max(vnorm(v) for v in verts) + 1.0
+    if cell.dim == 1:
+        lo = -math.inf if (-1.0,) in gens else verts[0][0]
+        hi = math.inf if (1.0,) in gens else verts[-1][0]
+        return max(lo - p[0], p[0] - hi, 0.0)
+    return ref_facet_distance(p, verts, gens)
+
+
+# The truncation that the facet rule replaced: a cone cell cut to a bounded
+# polygon that agrees with it near the origin, hulled by `ref_hull`. It is the
+# reference for the window clip, through `ref_sector_halves`, and, away from
+# near-pi sectors, for cell distances.
+
+
+def _truncation_bound(cell: ConvexCell, reach: float) -> float:
+    base_norm = max(vnorm(v) for v in cell.base.vertices)
+    gens = cell.cone.generators
+    kappa = 1.0
+    if len(gens) == 2 and abs(_cross2(*gens)) > 1e-12:  # a sector; a line {u, -u} keeps 1
+        c = max(-1.0, min(1.0, vdot(gens[0], gens[1])))
+        kappa = max(math.cos(math.acos(c) / 2.0), 1e-6)
+    return (2.0 * reach + 2.0 * base_norm + 1.0) / kappa
+
+
+def _truncated_polytope(cell: ConvexCell, reach: float):
+    """Bounded polytope agreeing with the cell within distance `reach` of 0."""
+    verts = list(cell.base.vertices)
+    cone = cell.cone
+    if cone.is_trivial:
+        return verts
+    M = _truncation_bound(cell, reach)
+    gens = cone.generators
+    if cone.full_space:
+        gens = ((1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0)) if cell.dim == 2 else ((1.0,), (-1.0,))
+        gens = tuple(vscale(1.0 / vnorm(g), g) for g in gens)
+        M = 4.0 * reach + 1.0
+    pts = list(verts)
+    for v in verts:
+        for g in gens:
+            pts.append(vadd(v, vscale(M, g)))
+    return ref_hull(pts) if cell.dim == 2 else extreme_points(pts, 1)
+
+
+def ref_hull(points):
+    """The monotone chain with no slack. `extreme_points` drops a point when
+    an unnormalised cross product is at most 1e-12, which loses a true vertex
+    of a thin sector's truncation: v + M g1 and v + M g2 are 3e-14 apart in x
+    and 5e-7 apart in y for an opening of 1.2e-7 at M = 4.3."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross2(vsub(out[-1], out[-2]), vsub(p, out[-2])) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return pts if len(pts) <= 2 else chain(pts) + chain(pts[::-1])
+
+
+def ref_sector_halves(cell):
+    """The cell as cells whose union is the cell: a sector wider than a right
+    angle splits at the direction a right angle from g1 into the sector, so
+    neither half's truncation meets the floor of 1e-6 on cos(opening / 2)."""
+    gens = cell.cone.generators
+    if len(gens) != 2 or abs(_cross2(*gens)) <= 1e-12 or ref_dot(*gens) >= 0.0:
+        return [cell]
+    g1, g2 = gens
+    b = (-g1[1], g1[0]) if _cross2(g1, g2) > 0.0 else (g1[1], -g1[0])
+    return [ConvexCell(base=cell.base, cone=Cone.from_generators(2, h)) for h in ([g1, b], [b, g2])]
+
+
+def ref_truncated_distance(p, cell):
+    """The distance to the cell's truncation at reach |p| + max |v| + 1."""
+    reach = vnorm(p) + max(vnorm(v) for v in cell.base.vertices) + 1.0
     poly = _truncated_polytope(cell, reach)
-    return ref_point_to_polytope(p, _hull_2d(poly) if cell.dim == 2 else poly)
+    return ref_point_to_polytope(p, poly)
 
 
 def ref_union_distance(p, u):
@@ -499,7 +591,7 @@ def ref_clip_cell_to_box(cell, R):
         if lo > hi:
             return None
         return [(lo,)] if lo == hi else [(lo,), (hi,)]
-    verts = _truncated_polytope(cell, math.sqrt(2.0) * R)
+    verts = ref_hull([v for h in ref_sector_halves(cell) for v in _truncated_polytope(h, math.sqrt(2.0) * R)])
     for normal, offset in (((1.0, 0.0), R), ((-1.0, 0.0), R), ((0.0, 1.0), R), ((0.0, -1.0), R)):
         verts = ref_clip_polygon_halfplane(verts, normal, offset)
         if not verts:
@@ -566,6 +658,31 @@ def test_cell_distances_and_recession_bit_identical_to_scalar_loop(case):
             got = [f"{type(e).__name__}: {e}"] * len(points)
         assert got == want
         assert [distance_outcome(point_to_cell_distance, p, cell) for p in points] == want
+
+
+@st.composite
+def cone_cell_and_points(draw):
+    """A ray, line, half-plane or sector (opening at most pi - 1e-3) over 1-4
+    base vertices, with probe points; d = 1 has rays only."""
+    dim = draw(st.integers(1, 2))
+    vec = st.tuples(*[real] * dim)
+    if dim == 1:
+        gens = [(draw(st.sampled_from([-1.0, 1.0])),)]
+    else:
+        t, w = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, math.pi - 1e-3))
+        g, h = (math.cos(t), math.sin(t)), (math.cos(t + w), math.sin(t + w))
+        minus = (-g[0], -g[1])
+        gens = draw(st.sampled_from([[g], [g, minus], [g, minus, h], [g, h]]))
+    return poly_cell(draw(st.lists(vec, min_size=1, max_size=4)), gens), draw(st.lists(vec, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_cell_and_points())
+def test_cone_cell_distances_match_the_old_truncation(case):
+    cell, points = case
+    got = cell_distances(np.array(points), cell)
+    for p, d in zip(points, got):
+        assert abs(d - ref_truncated_distance(as_vector(p), cell)) <= 1e-9 * (1.0 + vnorm(p))
 
 
 grid = st.integers(-12, 12).map(lambda k: k / 4.0)
@@ -635,6 +752,11 @@ def test_hausdorff_windowed_bit_identical_to_scalar_sup(pair, R):
     assert distance_outcome(hausdorff_windowed, a, b, R) == distance_outcome(ref_hausdorff_windowed, a, b, R)
 
 
+# two translate rows and a segment under a sector 1e-8 short of a half-plane
+NEAR_PI = [(1.0, 0.0), (math.cos(math.pi - 1e-8), math.sin(math.pi - 1e-8))]
+NEAR_PI_UNION = union_of([poly_cell(vs, NEAR_PI) for vs in ([(0.5, -0.25)], [(-1.0, 0.5)], [(0.3, 0.2), (-1.7, 0.2 + 1e-8)])])
+
+
 def ref_window_pieces(u, R):
     """The reference clip of each cell, in `_window_pieces` order: the rows of
     each translate group, then the other cells."""
@@ -649,12 +771,26 @@ def within(p, q, tol):
 
 @settings(max_examples=300, deadline=None)
 @given(window_union(2), st.floats(0.5, 6.0))
+@example(union_of([poly_cell([(0.5, 0.0)], [(-2.0**-52, 1.0), (2.0**-52, -1.0)])]), 0.5)  # a line on the box's side
+@example(NEAR_PI_UNION, 3.0)
 def test_window_pieces_match_the_reference_clip(u, R):
     got, want = _window_pieces(u, R), ref_window_pieces(u, R)
     tol = 1e-8 * max(1.0, R)
     assert len(got) == len(want)
     for p, q in zip(got, want):
         assert len(p) == len(q) and within(p, q, tol) and within(q, p, tol)
+
+
+def test_near_pi_window_pieces_are_exact():
+    # each piece leaves the box's left side where the ray along the second
+    # generator, tan(1e-8) above the horizontal, crosses x = -3
+    t, top = math.tan(1e-8), [(3.0, 3.0), (-3.0, 3.0)]
+    want = [[(-3.0, 0.5 + 2.0 * t), (-1.0, 0.5), (3.0, 0.5)] + top,
+            [(-3.0, -0.25 + 3.5 * t), (0.5, -0.25), (3.0, -0.25)] + top,
+            [(-3.0, 0.2 + 1e-8 + 1.3 * t), (-1.7, 0.2 + 1e-8), (0.3, 0.2), (3.0, 0.2)] + top]
+    got = _window_pieces(NEAR_PI_UNION, 3.0)
+    assert [len(p) for p in got] == [len(q) for q in want]
+    assert all(math.dist(x, y) <= 1e-12 for p, q in zip(got, want) for x, y in zip(p, q))
 
 
 def ref_in_hull_lp(p, vertices, generators) -> bool:

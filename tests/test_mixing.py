@@ -84,6 +84,13 @@ def test_alternating_requires_equal_means():
         alternating_driver(Law.uniform(0, 1), Law.normal(1.0, 0.1))
 
 
+@pytest.mark.parametrize("family", ["iid", "alternating"])
+def test_only_m_dependent_takes_m(family):
+    # every family's draws average m + 1 base draws, so an m elsewhere would act
+    with pytest.raises(ValueError, match="only an m_dependent driver takes m"):
+        mixing.ScalarDriver(family=family, law=Law.uniform(0, 1), law_odd=Law.uniform(0, 1), m=2)
+
+
 def test_markov_stationarity_checked():
     with pytest.raises(NotStationary):
         markov_driver(P_SYM, [0.9, 0.1], [-1.0, 1.0])
