@@ -391,7 +391,7 @@ def run_km_diagnostics(
     one distance pair serves for both.
     """
     checkpoints = [int(c) for c in checkpoints]
-    if not checkpoints or checkpoints != sorted(checkpoints) or checkpoints[-1] > n_max:
+    if not checkpoints or checkpoints != sorted(checkpoints) or checkpoints[0] < 1 or checkpoints[-1] > n_max:
         raise ValueError("checkpoints must be sorted and within 1..n_max")
     probes = km_probes(spec, probes, window_radius)
     if spec.family == "needle_halo":

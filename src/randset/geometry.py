@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -124,14 +124,10 @@ def _cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _close(a, b, tol=DEDUP_TOL):
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
-
-
-def _dedup_points(pts, tol=DEDUP_TOL):
+def _dedup_points(pts):
     out = []
     for p in sorted(pts):
-        if not any(_close(p, q, tol) for q in out):
+        if not any(all(abs(x - y) <= DEDUP_TOL for x, y in zip(p, q)) for q in out):
             out.append(p)
     return out
 
@@ -214,11 +210,7 @@ def _canon_cone_2d(units) -> Cone:
     ang_tol = 1e-9
     if gap > math.pi + ang_tol:
         # pointed sector: extreme rays flank the widest empty arc
-        lo = ordered[(widest + 1) % len(ordered)]
-        hi = ordered[widest]
-        if _close(lo, hi):
-            return Cone(dim=2, generators=(lo,))
-        return Cone(dim=2, generators=tuple(sorted((lo, hi))))
+        return Cone(dim=2, generators=tuple(sorted((ordered[widest], ordered[(widest + 1) % len(ordered)]))))
     if gap >= math.pi - ang_tol:
         # generators fill a closed half-plane: either a line or a half-plane
         u = ordered[(widest + 1) % len(ordered)]
@@ -312,49 +304,48 @@ class ConvexCell:
 
 
 def extreme_points(points, dim: int):
-    """Extreme points of the convex hull of a finite point set.
-
-    d=1: interval endpoints. d=2: monotone chain, counterclockwise starting at
-    the lexicographically smallest vertex.
-    """
+    """The vertices of the convex hull of a finite point set. A point within
+    DEDUP_TOL of a kept one in every coordinate merges into it
+    (`_dedup_points`), so no two vertices lie within DEDUP_TOL of each other,
+    and `_hull_2d` drops a vertex only within DEDUP_TOL of the hull left: an
+    input point lies within DEDUP_TOL of the hull per merge or drop it meets.
+    The vertices run counterclockwise from the smallest one, or are the two
+    sorted ends of a segment (in d = 1, of an interval)."""
     pts = _dedup_points([as_vector(p, dim) for p in points])
     if not pts:
         raise ValueError("polytope needs at least one vertex")
     if len(pts) == 1:
-        return [pts[0]]
-    if dim == 1:
-        lo, hi = min(pts), max(pts)
-        return [lo] if _close(lo, hi) else [lo, hi]
+        return pts
+    if dim == 1 or len(pts) == 2:  # an interval or a segment: its two sorted ends
+        return [pts[0], pts[-1]]
     return _hull_2d(pts)
 
 
+def _near_segment(p, a, b):
+    dx, dy, px, py = b[0] - a[0], b[1] - a[1], p[0] - a[0], p[1] - a[1]
+    t = min(1.0, max(0.0, (px * dx + py * dy) / ((dx * dx + dy * dy) or 1.0)))  # a == b: near the point a
+    return math.hypot(px - t * dx, py - t * dy) <= DEDUP_TOL
+
+
 def _hull_2d(pts):
-    pts = sorted(pts)
-    if len(pts) == 2:
-        return pts
-
-    def build(seq):
-        out = []
+    """`extreme_points` of sorted points: A. M. Andrew's monotone chain (1979)
+    with exact turns, then the first vertex within DEDUP_TOL of the segment
+    joining its neighbours is dropped, one at a time, until none is."""
+    hull = []
+    for seq in (pts, pts[::-1]):  # the lower chain, then the upper
+        start = len(hull)
         for p in seq:
-            while len(out) >= 2 and _cross2(vsub(out[-1], out[-2]), vsub(p, out[-2])) <= DEDUP_TOL:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) <= 2:  # collinear within tolerance: the farthest pair, by two sweeps
-        a = max(pts, key=lambda p: vnorm(vsub(p, pts[0])))
-        return sorted([a, max(pts, key=lambda p: vnorm(vsub(p, a)))])
-    # counterclockwise starting from the lexicographically smallest vertex
-    start = min(range(len(hull)), key=lambda i: hull[i])
-    hull = hull[start:] + hull[:start]
-    if len(hull) >= 3:
-        area2 = sum(_cross2(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))
-        if area2 < 0:
-            hull = [hull[0]] + hull[:0:-1]
-    return hull
+            while len(hull) >= start + 2 and _cross2(vsub(hull[-1], hull[-2]), vsub(p, hull[-2])) <= 0.0:
+                hull.pop()
+            hull.append(p)
+        hull.pop()
+    while len(hull) > 2:  # rounding can put a vertex in both chains, between equal neighbours
+        near = [_near_segment(v, a, b) for a, v, b in zip(hull[-1:] + hull, hull, hull[1:] + hull[:1])]
+        if True not in near:
+            break
+        hull.pop(near.index(True))
+    first = hull.index(min(hull))  # two vertices: sorted
+    return hull[first:] + hull[:first]
 
 
 def _drop_absorbed(vertices, cone: Cone):
@@ -378,14 +369,13 @@ def poly_cell(vertices, cone_generators=(), dim: int | None = None, full_space: 
 
 
 def _poly_cell(vertices, cone: Cone) -> ConvexCell:
-    """The canonical cell hull(vertices) + cone, for a cone already canonical."""
+    """hull(vertices) + cone, canonical for a canonical cone; its base keeps the `extreme_points` contract."""
     d = cone.dim
     if cone.full_space:  # the whole space: one canonical base, the origin
         return ConvexCell(base=Polytope(vertices=(tuple(0.0 for _ in range(d)),)), cone=cone)
     ext = extreme_points(vertices, d)
     if len(ext) > 1 and not cone.is_trivial:
-        ext = _drop_absorbed(ext, cone)
-    ext = extreme_points(ext, d) if len(ext) > 1 else ext
+        ext = extreme_points(_drop_absorbed(ext, cone), d)
     return ConvexCell(base=Polytope(vertices=tuple(ext)), cone=cone)
 
 
@@ -661,7 +651,7 @@ def scale(lam: float, a: SetUnion) -> SetUnion:
     for c in a.others:
         if isinstance(c.base, Polytope):
             verts = [as_vector(vscale(lam, v)) for v in c.base.vertices]
-            if any(_close(u, w) for u, w in combinations(verts, 2)):
+            if len(_dedup_points(verts)) < len(verts):
                 cells.append(_poly_cell(verts, c.cone))
                 continue
             base = Polytope(vertices=tuple(verts))
@@ -1027,7 +1017,7 @@ def hausdorff(a: SetUnion, b: SetUnion) -> float:
 
     Exact cases: any bounded union in d=1; finite point sets in d=2; single
     convex cell pairs (polytope-polytope, ball-ball, point-ball).
-    Other combinations raise UnsupportedCellCombination rather than
+    Any other pair raises UnsupportedCellCombination rather than
     approximating.
     """
     if a.dim != b.dim:

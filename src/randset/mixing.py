@@ -371,7 +371,9 @@ def phi_exact_markov(transition, stationary, n: int) -> float:
     """phi(n) of a stationary finite Markov chain.
 
     The Markov property collapses the sup over past/future sigma-algebras to
-    two coordinates, leaving max_i (1/2) sum_j |P^n(i,j) - pi(j)|.
+    two coordinates, leaving max_i (1/2) sum_j |P^n(i,j) - pi(j)| over the
+    states the chain can be in, pi(i) > 0: a past event conditions on positive
+    probability, and that set of states is closed under P.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -379,7 +381,7 @@ def phi_exact_markov(transition, stationary, n: int) -> float:
     pi = np.asarray(stationary, dtype=float)
     _check_stationary(P, pi)
     Pn = np.linalg.matrix_power(P, n)
-    return float(0.5 * np.abs(Pn - pi[None, :]).sum(axis=1).max())
+    return float(0.5 * np.abs(Pn - pi[None, :]).sum(axis=1)[pi > 0].max())
 
 
 def _path_atoms(P: np.ndarray, pi: np.ndarray, length: int):

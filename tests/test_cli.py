@@ -467,6 +467,16 @@ def test_expect_mismatch_exits_one(tmp_path):
     assert code == 1
 
 
+def test_phi_profile_skips_a_state_of_zero_mass(tmp_path):
+    driver = {"family": "finite_markov", "transition": [[0.9, 0.1, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+              "stationary": [0.0, 0.5, 0.5], "emissions": [-1.0, 0.0, 1.0]}
+    cfg = parse_config({"experiment": "phi_profile", "driver": driver, "n_terms": 10, "expect": "exact_zero"})
+    code, _ = run_config(cfg, tmp_path)
+    assert code == 0
+    assert (tmp_path / "phi.csv").read_text().splitlines()[1] == "1,0.0,0.0"
+    assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "exact_zero"
+
+
 def test_bundled_configs_exist():
     names = bundled_config_names()
     assert "needle_halo_certificate.json" in names

@@ -428,6 +428,14 @@ def test_km_probe_outside_target_rejected():
         run_km_diagnostics(needle_halo_process(), [(0.0, 1.0)], 5.0, 100, [100], 1)
 
 
+@pytest.mark.parametrize("spec, probe", [
+    (needle_halo_process(), (0.0, 0.0)), (ray_process(), (0.0, 0.0)), (segment_process(MK), (0.0,)),
+])
+def test_km_checkpoints_below_one_rejected(spec, probe):
+    with pytest.raises(ValueError, match="within 1..n_max"):
+        run_km_diagnostics(spec, [probe], 5.0, 50, [0, 50], 1)
+
+
 def test_km_window_must_cover_probes():
     with pytest.raises(ValueError):
         run_km_diagnostics(needle_halo_process(), [(3.0, 0.0)], 2.0, 100, [100], 1)

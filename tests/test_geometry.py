@@ -181,6 +181,23 @@ def test_hull_mixed_ball_polytope_rejected():
         convex_hull(union_of([ball_cell((0, 0), 1), point_cell((2, 2))]))
 
 
+def test_hull_keeps_a_vertex_across_a_thin_column():
+    # the two right-hand columns are 3e-14 apart in x, so every triangle
+    # across them is thin; an area tolerance dropped the fifth point
+    pts = [(0, 0), (0, 0.25), (4.328427124746167, 5.159887226263636e-07), (4.328427124746198, 0),
+           (4.328427124746167, 0.25000051598872264), (4.328427124746198, 0.25)]
+    cell = poly_cell(pts)
+    assert (4.328427124746167, 0.25000051598872264) in cell.base.vertices
+    assert all(point_to_cell_distance(p, cell) <= 1e-12 for p in pts)
+
+
+def test_micron_square_keeps_its_four_vertices():
+    square = poly_cell([(0, 0), (1e-6, 0), (1e-6, 1e-6), (0, 1e-6)])
+    diagonal = poly_cell([(0, 0), (1e-6, 1e-6)])
+    assert len(square.base.vertices) == 4
+    assert hausdorff(union_of([square]), union_of([diagonal])) == pytest.approx(1e-6 / math.sqrt(2), rel=1e-15)
+
+
 def test_membership_midpoint_inside():
     a = point_union([(0.0, 0.0), (1.0, 0.0)])
     v = hull_membership_via_support((0.5, 0.0), a, spread_directions(64, 2))

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from randset.geometry import (
+    DEDUP_TOL,
     Ball,
     Cone,
     ConvexCell,
@@ -26,8 +27,8 @@ from randset.geometry import (
     _cell_key,
     _cell_line,
     _cell_sum,
-    _close,
     _cross2,
+    _dedup_points,
     _poly_cell,
     _row_cells,
     _window_pieces,
@@ -404,10 +405,11 @@ def _truncated_polytope(cell: ConvexCell, reach: float):
 
 
 def ref_hull(points):
-    """The monotone chain with no slack. `extreme_points` drops a point when
-    an unnormalised cross product is at most 1e-12, which loses a true vertex
-    of a thin sector's truncation: v + M g1 and v + M g2 are 3e-14 apart in x
-    and 5e-7 apart in y for an opening of 1.2e-7 at M = 4.3."""
+    """The monotone chain with exact turns and no pass after it. A thin
+    sector's truncation has true vertices v + M g1 and v + M g2 3e-14 apart in
+    x and 5e-7 apart in y (an opening of 1.2e-7 at M = 4.3); the reference
+    clip keeps both, where `extreme_points` may drop a vertex that lies within
+    1e-12 of the segment joining its neighbours."""
     pts = sorted(set(points))
 
     def chain(seq):
@@ -869,6 +871,10 @@ def ref_format(cells):
     return "\n".join(sorted(_cell_line(c) for c in ref_union(cells))) + "\n"
 
 
+def ref_close(a, b):
+    return all(abs(x - y) <= 1e-12 for x, y in zip(a, b))
+
+
 def ref_scale(lam, cells):
     """The cell-by-cell `scale`: a polytope is rebuilt only when two scaled
     vertices fall within DEDUP_TOL of each other."""
@@ -878,7 +884,7 @@ def ref_scale(lam, cells):
             base = Ball(center=as_vector(tuple(lam * x for x in c.base.center)), radius=lam * c.base.radius)
         else:
             verts = [as_vector(tuple(lam * x for x in v)) for v in c.base.vertices]
-            if any(_close(u, w) for u, w in combinations(verts, 2)):
+            if any(ref_close(u, w) for u, w in combinations(verts, 2)):
                 out.append(_poly_cell(verts, c.cone))
                 continue
             base = Polytope(vertices=tuple(verts))
@@ -979,3 +985,52 @@ def test_canonical_cell_is_a_fixed_point(cell):
     u = union_of([cell])
     assert parse_set_union(format_set_union(u)) == u
     assert len(union_of([cell, again]).cells) == 1
+
+
+# ---------------------------------------------------------------------------
+# The hull contract on thin sets: near-collinear runs and tiny polygons, where
+# an area tolerance lost true vertices. A merge moves a point by at most
+# DEDUP_TOL in each coordinate (sqrt(2) DEDUP_TOL) and each dropped vertex
+# lies within DEDUP_TOL of the hull left, so a point lies within
+# (sqrt(2) + drops) DEDUP_TOL of the hull.
+
+
+def ref_distance_to_hull(p, verts):
+    """Distance from p to the polygon, segment or point `verts`; inside means
+    on the left of every edge, with no slack."""
+    if len(verts) > 2 and ref_point_in_polygon(p, verts, tol=0.0):
+        return 0.0
+    return min(ref_point_to_segment(p, a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+
+
+@st.composite
+def thin_point_sets(draw):
+    """3 to 8 points about a dyadic origin, each moved by a jitter of 1e-13 to
+    1e-12: along a segment of length up to 4 (axis-parallel or at any angle),
+    or in a square of side 1e-12 to 1e-6."""
+    origin, n = draw(point2), draw(st.integers(3, 8))
+    jitter = draw(st.floats(1e-13, 1e-12))
+    unit = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        theta = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, 2.0 * math.pi))
+        length = draw(st.floats(1e-12, 4.0))
+        base = [(t * length * math.cos(theta), t * length * math.sin(theta))
+                for t in draw(st.lists(unit, min_size=n, max_size=n))]
+    else:
+        side = 10.0 ** draw(st.floats(-12.0, -6.0))
+        base = [(side * x, side * y) for x, y in draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n))]
+    moves = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=n, max_size=n))
+    return [(origin[0] + x + jitter * a, origin[1] + y + jitter * b) for (x, y), (a, b) in zip(base, moves)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(thin_point_sets())
+@example([(3.3281250000038525, -0.2968749999968367), (3.3281250000047735, -0.2968749999981841),
+          (3.3281250000001292, -0.29687499999570877), (3.328125000004799, -0.2968749999958862)])  # 2.04e-12 off
+def test_hull_of_a_thin_set_keeps_its_contract(pts):
+    cell = poly_cell(pts)
+    verts = list(cell.base.vertices)
+    drops = len(_dedup_points(pts)) - len(verts)  # at least the vertices the pass dropped
+    assert max(ref_distance_to_hull(p, verts) for p in pts) <= (math.sqrt(2.0) + drops) * DEDUP_TOL
+    assert not any(ref_close(u, w) for u, w in combinations(verts, 2))
+    assert poly_cell(verts) == cell

@@ -405,6 +405,19 @@ def test_brute_force_equals_exact_one_one():
         assert abs(bf - phi_exact_markov(P_SYM, PI_SYM, n)) <= 1e-12
 
 
+# State 0 has stationary mass 0 and is left at once, so the chain is never in
+# it and no event conditions on it: phi is that of the two-state iid block.
+P_ZERO_MASS = [[0.9, 0.1, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
+PI_ZERO_MASS = [0.0, 0.5, 0.5]
+
+
+def test_phi_is_taken_over_states_of_positive_mass():
+    for n in (1, 2, 20):
+        assert phi_exact_markov(P_ZERO_MASS, PI_ZERO_MASS, n) == 0.0
+    for past, future in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        assert phi_brute_force(P_ZERO_MASS, PI_ZERO_MASS, 1, past, future) == 0.0
+
+
 def test_brute_force_frozen_chain():
     assert phi_brute_force([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], 1, 1, 1) == pytest.approx(0.5, abs=1e-14)
 
