@@ -22,8 +22,10 @@ cell lines are written straight from the rows. Every other cell is kept as a
 only, and `format_set_union` sorts its lines. Every distance, from a point
 to a cell or a union and in each exact or windowed Hausdorff path, and every
 containment question (is a vertex absorbed, is a box corner inside a clipped
-cell) runs through one batched kernel, `cell_distances`, that rounds bit for
-bit as the scalar formulas do; no solver is used. A cell with a cone is read
+cell) runs through one batched kernel, `_polytope_distances` (behind
+`cell_distances`), that rounds bit for bit as the scalar formulas do; no
+solver is used. It measures the cells that share a cone and a vertex count
+at once, so a translate group is one kernel call. A cell with a cone is read
 from its facets (Minkowski-Weyl: hull(V) + C is an intersection of finitely
 many half-planes), so no distance or window clip cuts it to a polygon first.
 """
@@ -466,18 +468,14 @@ class SetUnion:
     @cached_property
     def cells(self) -> tuple[ConvexCell, ...]:
         """Every cell as a `ConvexCell`, in `_cell_key` order; built on first use."""
-        rows = [c for cone, A in self.groups.items() for c in _row_cells(cone, A)]
+        rows = [ConvexCell(base=Polytope(vertices=(tuple(v),)), cone=cone)
+                for cone, A in self.groups.items() for v in A.tolist()]
         return tuple(sorted(rows + list(self.others), key=_cell_key))
 
     @cached_property
     def _stack(self):
         """`_stack_cells` of the union, built on the first support query."""
         return _stack_cells(self.others, self.groups)
-
-
-def _row_cells(cone: Cone, A: np.ndarray) -> list[ConvexCell]:
-    """The cells vertex + cone, one per row of A."""
-    return [ConvexCell(base=Polytope(vertices=(tuple(v),)), cone=cone) for v in A.tolist()]
 
 
 def _union(groups: dict, cells) -> SetUnion:
@@ -636,8 +634,8 @@ def _minkowski_sum(a: SetUnion, b: SetUnion, cell_budget: int | None = None) -> 
 
 
 def scale(lam: float, a: SetUnion) -> SetUnion:
-    """lam * a. A polytope base is rebuilt in canonical form only when two of
-    its scaled vertices fall within DEDUP_TOL of each other."""
+    """lam * a. Every other cell is rebuilt in canonical form from its scaled
+    base, so it equals `poly_cell` or `ball_cell` of that base."""
     if lam < 0:
         raise NegativeScale("scaling factor must be nonnegative")
     if lam == 0:
@@ -650,14 +648,9 @@ def scale(lam: float, a: SetUnion) -> SetUnion:
     cells = []
     for c in a.others:
         if isinstance(c.base, Polytope):
-            verts = [as_vector(vscale(lam, v)) for v in c.base.vertices]
-            if len(_dedup_points(verts)) < len(verts):
-                cells.append(_poly_cell(verts, c.cone))
-                continue
-            base = Polytope(vertices=tuple(verts))
+            cells.append(_poly_cell([vscale(lam, v) for v in c.base.vertices], c.cone))
         else:
-            base = Ball(center=as_vector(vscale(lam, c.base.center)), radius=lam * c.base.radius)
-        cells.append(ConvexCell(base=base, cone=c.cone))
+            cells.append(_ball_cell(as_vector(vscale(lam, c.base.center)), lam * c.base.radius, c.cone))
     return _union(groups, cells)
 
 
@@ -829,12 +822,12 @@ def _pymax(a, b):
 
 
 def _segment_distances(P: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(m, n) distances from the rows of P to the segments [A_j, B_j], whose
+    """Distances from the broadcast points P to the segments [A, B], whose
     ends are distinct. The foot parameter is clamped as max(0.0, min(1.0, t))."""
     AB = B - A
-    t = _coord_dot(P[:, None, :] - A, AB) / _coord_dot(AB, AB)
+    t = _coord_dot(P - A, AB) / _coord_dot(AB, AB)
     t = _pymax(0.0, np.where(t < 1.0, t, 1.0))
-    return _norms(P[:, None, :] - (A + t[..., None] * AB))
+    return _norms(P - (A + t[..., None] * AB))
 
 
 def _ray_distances(P: np.ndarray, V: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -844,60 +837,60 @@ def _ray_distances(P: np.ndarray, V: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.where(t <= 0, _norms(W), _norms(P - (V + t[..., None] * g)))
 
 
-def _translate_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
-    """Distance from P to the point V (trivial cone), or to the ray V + t g
-    (t >= 0) of the cone's one generator g, with P and V broadcast against
-    each other row by row."""
-    return _norms(P - V) if cone.is_trivial else _ray_distances(P, V, np.array(cone.generators[0]))
+def _polytope_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
+    """(m, r) distances from the rows of P to the r cells hull(V_i) + cone,
+    for an (r, k, d) array V of canonical vertex lists (counterclockwise in
+    d = 2) under one canonical cone: a translate group is A[:, None, :], one
+    cell verts[None]. Each step is elementwise along the r axis, and a row
+    enters only through its own vertices a_i, as p - a_i and p - (a_i + t g),
+    so column i rounds as the one-cell call on V_i does. A line that is no
+    facet of the cone is masked, not dropped, so every cell keeps one count.
 
-
-def _polytope_distances(P: np.ndarray, verts, cone: Cone) -> np.ndarray:
-    """Distances from the rows of P to hull(verts) + cone, for a canonical
-    vertex list (counterclockwise in d = 2) and cone.
-
-    A point or a ray is `_translate_distances`, the full space is 0.0, and
-    d = 1 is the distance to an interval whose ends a cone moves to -inf or
-    +inf. In d = 2 a cell is the intersection of its facet half-planes
-    (Minkowski-Weyl): the hull edges whose outward normal lies in the polar
-    cone C° = {n : <n, g> <= 0 for every generator g}, and the lines through
-    the extreme vertex along +g and -g of each generator where that normal
-    lies in C°. A point inside every facet (cross product of the facet's
-    direction and the point, unnormalised, at least -1e-12) is at 0.0;
-    otherwise its distance is the least to a hull edge or to a ray v + t g,
-    since the boundary lies in those pieces. A bounded polygon has no rays
-    and keeps every edge as a facet.
+    A point or a ray (k = 1, at most one generator) is the distance to it,
+    the full space is 0.0, and d = 1 is the distance to an interval whose
+    ends a cone moves to -inf or +inf. In d = 2 a cell is the intersection of
+    its facet half-planes (Minkowski-Weyl): the hull edges whose outward
+    normal lies in the polar cone C° = {n : <n, g> <= 0 for every generator
+    g}, and the lines through the extreme vertex along +g and -g of each
+    generator where that normal lies in C°. A point inside every facet (cross
+    product of the facet's direction and the point, unnormalised, at least
+    -1e-12) is at 0.0; otherwise its distance is the least to a hull edge or
+    to a ray v + t g, since the boundary lies in those pieces. A bounded
+    polygon has no rays and keeps every edge as a facet.
     """
-    V = np.array(verts)
+    r, k, d = V.shape
+    X = P[:, None, :]
     if cone.full_space:
-        return np.zeros(len(P))
-    if len(V) == 1 and len(cone.generators) < 2:
-        return _translate_distances(P, V[0], cone)
-    if V.shape[1] == 1:
-        lo = -math.inf if (-1.0,) in cone.generators else V[0, 0]
-        hi = math.inf if (1.0,) in cone.generators else V[-1, 0]
-        return _pymax(_pymax(lo - P[:, 0], P[:, 0] - hi), 0.0)
-    if len(V) == 2 and cone.is_trivial:
-        return _segment_distances(P, V[:1], V[1:])[:, 0]
+        return np.zeros((len(P), r))
+    if k == 1 and len(cone.generators) < 2:
+        return _norms(X - V[:, 0]) if cone.is_trivial else _ray_distances(X, V[:, 0], np.array(cone.generators[0]))
+    if d == 1:
+        lo = -math.inf if (-1.0,) in cone.generators else V[:, 0, 0]
+        hi = math.inf if (1.0,) in cone.generators else V[:, -1, 0]
+        return _pymax(_pymax(lo - P, P - hi), 0.0)
+    if k == 2 and cone.is_trivial:
+        return _segment_distances(X, V[:, 0], V[:, 1])
     G = np.array(cone.generators).reshape(-1, 2)
-    k = len(V) if len(V) > 1 else 0  # a lone vertex has no edges
-    E = np.roll(V, -1, axis=0)[:k]
-    O, D = V[:k], E - V[:k]  # each facet as an origin and a direction, the cell on its left
+    n = k if k > 1 else 0  # a lone vertex has no edges
+    E = np.concatenate([V[:, 1:], V[:, :1]], axis=1)[:, :n]  # each next vertex; np.roll costs more on one row
+    O, D = V[:, :n], E - V[:, :n]  # each facet as an origin and a direction, the cell on its left
+    facet = True
     if len(G):
         S = np.concatenate([G, -G])
-        O = np.concatenate([O, V[np.argmin(S[:, None, 0] * V[:, 1] - S[:, None, 1] * V[:, 0], axis=1)]])
-        D = np.concatenate([D, S])
-        facet = (_coord_dot(np.column_stack([D[:, 1], -D[:, 0]])[:, None, :], G) <= 0.0).all(axis=1)
-        O, D = O[facet], D[facet]
-    W = P[:, None, :] - O
-    outside = (D[:, 0] * W[..., 1] - D[:, 1] * W[..., 0] < -1e-12).any(axis=1)
-    pieces = [_segment_distances(P, V[:k], E)] + [_ray_distances(P[:, None, :], V, g) for g in G]
-    return np.where(outside, np.concatenate(pieces, axis=1).min(axis=1), 0.0)
+        extreme = np.argmin(S[:, None, 0] * V[:, None, :, 1] - S[:, None, 1] * V[:, None, :, 0], axis=2)
+        O = np.concatenate([O, V[np.arange(r)[:, None], extreme]], axis=1)
+        D = np.concatenate([D, S[None].repeat(r, axis=0)], axis=1)
+        facet = (D[..., None, 1] * G[:, 0] - D[..., None, 0] * G[:, 1] <= 0.0).all(axis=2)  # <(D_y, -D_x), g> <= 0
+    W = X[:, None] - O
+    outside = ((D[..., 0] * W[..., 1] - D[..., 1] * W[..., 0] < -1e-12) & facet).any(axis=2)
+    pieces = [_segment_distances(X[:, None], V[:, :n], E)] + [_ray_distances(X[:, None], V, g) for g in G]
+    return np.where(outside, np.concatenate(pieces, axis=2).min(axis=2), 0.0)
 
 
 def cell_distances(points, cell: ConvexCell) -> np.ndarray:
     """Euclidean distance from each row of an (m, d) array to a convex cell.
 
-    The one distance kernel. It covers balls and, through
+    The one distance kernel. It covers balls and, as the one column of
     `_polytope_distances`, every polytope cell: points, rays, segments, d = 1
     intervals, 2-d convex polygons and 2-d cells under any cone, read from
     their facets with no bound on the points. Each entry equals the scalar
@@ -911,7 +904,7 @@ def cell_distances(points, cell: ConvexCell) -> np.ndarray:
         if not cell.cone.is_trivial:
             raise UnsupportedCellCombination("distance to ball-with-cone cells is not supported")
         return _pymax(0.0, _norms(P - np.array(cell.base.center)) - cell.base.radius)
-    return _polytope_distances(P, cell.base.vertices, cell.cone)
+    return _polytope_distances(P, np.array(cell.base.vertices)[None], cell.cone)[:, 0]
 
 
 def point_to_cell_distance(p, cell: ConvexCell) -> float:
@@ -922,16 +915,12 @@ def point_to_cell_distance(p, cell: ConvexCell) -> float:
 
 def point_to_union_distance(p, u: SetUnion) -> float:
     """The least point_to_cell_distance over the cells, bit for bit: one
-    kernel call per point or ray group and per other cell. Those others run
-    in `.cells` order, so the first to raise is the one a cell loop meets."""
+    kernel call per translate group, whatever its cone, and one per other
+    cell. Only an other cell can raise, and they run in `.cells` order, so
+    the first to raise is the one a cell loop meets."""
     P = np.array([as_vector(p, u.dim)])
-    out, cells = [], list(u.others)
-    for cone, A in u.groups.items():
-        if cone.is_trivial or len(cone.generators) == 1:
-            out.append(float(_translate_distances(P, A, cone).min()))
-        else:
-            cells += _row_cells(cone, A)
-    return min(out + [float(cell_distances(P, c)[0]) for c in sorted(cells, key=_cell_key)])
+    out = [_polytope_distances(P, A[:, None, :], cone).min() for cone, A in u.groups.items()]
+    return float(min(out + [cell_distances(P, c)[0] for c in u.others]))
 
 
 # ---------------------------------------------------------------------------
@@ -1055,9 +1044,9 @@ def _box_clips(A: np.ndarray, T: np.ndarray, cone: Cone, R: float) -> list:
     corners = R * np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
     pts = [V, np.broadcast_to(corners, (len(A), 4, 2))]
     keep = [(np.abs(V) <= R + DEDUP_TOL).all(axis=2),
-            _polytope_distances((corners - A[:, None, :]).reshape(-1, 2), T, cone).reshape(-1, 4) == 0.0]
+            _polytope_distances((corners - A[:, None, :]).reshape(-1, 2), T[None], cone).reshape(-1, 4) == 0.0]
     n = len(T) if len(T) > 2 else len(T) - 1  # hull edges: a segment has one, a point none
-    P, Q, reach = V[:, :n], np.roll(V, -1, axis=1)[:, :n], (_norms(V) + 2.0 * R)[..., None]
+    P, Q, reach = V[:, :n], np.concatenate([V[:, 1:], V[:, :1]], axis=1)[:, :n], (_norms(V) + 2.0 * R)[..., None]
     for g in np.array(cone.generators).reshape(-1, 2):
         P, Q = np.concatenate([P, V], axis=1), np.concatenate([Q, V + reach * g], axis=1)
     for k, side in product((0, 1), (R, -R)):
@@ -1095,12 +1084,13 @@ def _directed_clipped(pieces_a, pieces_b) -> float:
         V = np.array(va)
         pts.append(V)
         if len(pieces_b) > 1 and len(V) >= 2:
-            edges = list(zip(V, np.roll(V, -1, axis=0)))[: len(V) if len(V) > 2 else 1]
+            edges = list(zip(V, np.concatenate([V[1:], V[:1]])))[: len(V) if len(V) > 2 else 1]
             pts += [p0 + t * (p1 - p0) for p0, p1 in edges]
     if not pts:
         return 0.0
     P, bounded = np.concatenate(pts), Cone(dim=2)
-    return max(0.0, float(np.min([_polytope_distances(P, vb, bounded) for vb in pieces_b], axis=0).max()))
+    dist = np.min([_polytope_distances(P, np.array(vb)[None], bounded) for vb in pieces_b], axis=0)
+    return max(0.0, float(dist.max()))
 
 
 def hausdorff_windowed(a: SetUnion, b: SetUnion, window_radius: float) -> float:

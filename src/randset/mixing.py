@@ -204,6 +204,8 @@ def _check_stationary(P: np.ndarray, pi: np.ndarray):
         raise ValueError("transition and stationary entries must be finite")
     if np.any(P < -1e-15) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("transition matrix must be row-stochastic")
+    if np.any(pi < -1e-10):  # the stationarity slack: least squares leaves about -1e-14 on a transient state
+        raise ValueError("stationary entries must be nonnegative")
     if abs(pi.sum() - 1.0) > 1e-10 or np.max(np.abs(pi @ P - pi)) > 1e-10:
         raise NotStationary("the chain is not started from its stationary vector")
 

@@ -104,6 +104,14 @@ def test_config_round_trip_is_canonical(name):
             "driver.m",
             id="m_dependent_m",
         ),
+        pytest.param(
+            None,
+            {"driver": {"family": "finite_markov", "transition": [[1.0, 0.0], [0.0, 1.0]],
+                        "stationary": [1.5, -0.5], "emissions": [0.0, 1.0]}},
+            None,
+            "driver",
+            id="stationary_negative",
+        ),
         # configs that once ended in a traceback, a cell budget error or an
         # unbounded allocation
         pytest.param("needle_halo_km.json", {"probes": [[0.0]]}, None, "probes", id="probe_dimension"),

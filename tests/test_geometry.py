@@ -157,6 +157,13 @@ def test_scale_merges_vertices_that_fall_within_dedup_tol():
     assert parse_set_union(format_set_union(s)) == s
 
 
+def test_scale_drops_a_vertex_that_falls_within_dedup_tol_of_an_edge():
+    # the apex lands 1e-13 above the base, with no two vertices within DEDUP_TOL
+    s = scale(1e-6, union_of([poly_cell([(0, 0), (1, 0), (0.5, 1e-7)])]))
+    assert s == union_of([poly_cell([(0.0, 0.0), (1e-6, 0.0), (5e-7, 1e-13)])])
+    assert s.cells[0].base.vertices == ((0.0, 0.0), (1e-6, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # hulls and membership
 

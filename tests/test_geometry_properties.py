@@ -30,7 +30,6 @@ from randset.geometry import (
     _cross2,
     _dedup_points,
     _poly_cell,
-    _row_cells,
     _window_pieces,
     as_vector,
     ball_cell,
@@ -245,16 +244,41 @@ def unit_or_any(draw, dim):
 
 
 @st.composite
-def canonical_cell(draw, dim=None, vec=None):
-    dim = dim or draw(st.integers(1, 2))
-    vec = st.tuples(*[real] * dim) if vec is None else vec
+def canonical_cone(draw, dim, kinds=("full", "half_plane", "line", "none", "ray", "sector")):
+    """(generators, full_space) of a cone of one of the kinds."""
     g, h = draw(unit_or_any(dim)), draw(unit_or_any(dim))
     minus = tuple(-c for c in g)
     cones = {"none": [], "ray": [g], "sector": [g, h], "line": [g, minus], "half_plane": [g, minus, h], "full": []}
-    key = draw(st.sampled_from(sorted(cones)))
+    key = draw(st.sampled_from(kinds))
+    return cones[key], key == "full"
+
+
+@st.composite
+def canonical_cell(draw, dim=None, vec=None):
+    dim = dim or draw(st.integers(1, 2))
+    vec = st.tuples(*[real] * dim) if vec is None else vec
+    gens, full = draw(canonical_cone(dim))
     if draw(st.booleans()):
-        return ball_cell(draw(vec), draw(st.floats(0.0, 4.0)), cones[key], full_space=key == "full")
-    return poly_cell(draw(st.lists(vec, min_size=1, max_size=4)), cones[key], full_space=key == "full")
+        return ball_cell(draw(vec), draw(st.floats(0.0, 4.0)), gens, full_space=full)
+    return poly_cell(draw(st.lists(vec, min_size=1, max_size=4)), gens, full_space=full)
+
+
+@st.composite
+def shared_cone_rows(draw):
+    """Two to four one-vertex cells in the plane under one sector, line or
+    half-plane cone: a translate group of several rows. (In d = 1 such cones
+    are rays or the full space.)"""
+    gens, _ = draw(canonical_cone(2, ("half_plane", "line", "sector")))
+    vertices = draw(st.lists(st.tuples(real, real), min_size=2, max_size=4))
+    return [poly_cell([v], gens) for v in vertices]
+
+
+@st.composite
+def canonical_union_cells(draw, dim):
+    """One to three canonical cells, or in d = 2 maybe a shared-cone translate
+    group with up to three other cells."""
+    rows = draw(st.one_of(st.just([]), shared_cone_rows())) if dim == 2 else []
+    return draw(st.lists(canonical_cell(dim), min_size=0 if rows else 1, max_size=3)) + rows
 
 
 @st.composite
@@ -624,8 +648,7 @@ def distance_outcome(f, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(st.lists(canonical_cell(dim), min_size=1, max_size=3),
-                                                        st.tuples(*[signed_real] * dim))))
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(canonical_union_cells(dim), st.tuples(*[signed_real] * dim))))
 def test_union_distance_bit_identical_to_cell_loop(case):
     cells, x = case
     u = union_of(cells)
@@ -762,8 +785,8 @@ NEAR_PI_UNION = union_of([poly_cell(vs, NEAR_PI) for vs in ([(0.5, -0.25)], [(-1
 def ref_window_pieces(u, R):
     """The reference clip of each cell, in `_window_pieces` order: the rows of
     each translate group, then the other cells."""
-    cells = [c for cone, A in u.groups.items() for c in _row_cells(cone, A)] + list(u.others)
-    return [v for c in cells if (v := ref_clip_cell_to_box(c, R)) is not None]
+    rows = [ConvexCell(base=Polytope(vertices=(tuple(v),)), cone=cone) for cone, A in u.groups.items() for v in A.tolist()]
+    return [v for c in rows + list(u.others) if (v := ref_clip_cell_to_box(c, R)) is not None]
 
 
 def within(p, q, tol):
@@ -851,7 +874,7 @@ def test_translate_sum_is_the_minkowski_sum(pair):
     total = minkowski_sum(a, b)  # both are translate groups: one broadcast add per pair of cones
     assert not total.others
     assert total.cells == ref_union(_cell_sum(x, y) for x in a.cells for y in b.cells)
-    p = (0.5,) * a.dim  # sector and full-space rows go through the cell loop
+    p = (0.5,) * a.dim  # every row of a sector or full-space group is measured in one kernel call
     assert distance_outcome(point_to_union_distance, p, total) == distance_outcome(ref_union_distance, p, total)
 
 
@@ -876,19 +899,16 @@ def ref_close(a, b):
 
 
 def ref_scale(lam, cells):
-    """The cell-by-cell `scale`: a polytope is rebuilt only when two scaled
-    vertices fall within DEDUP_TOL of each other."""
+    """The cell-by-cell `scale`: every cell is rebuilt by `poly_cell` or
+    `ball_cell` from its scaled base and its cone."""
     out = []
     for c in cells:
+        full, gens = c.cone.full_space, c.cone.generators
         if isinstance(c.base, Ball):
-            base = Ball(center=as_vector(tuple(lam * x for x in c.base.center)), radius=lam * c.base.radius)
+            center = tuple(lam * x for x in c.base.center)
+            out.append(ball_cell(center, lam * c.base.radius, gens, full_space=full))
         else:
-            verts = [as_vector(tuple(lam * x for x in v)) for v in c.base.vertices]
-            if any(ref_close(u, w) for u, w in combinations(verts, 2)):
-                out.append(_poly_cell(verts, c.cone))
-                continue
-            base = Polytope(vertices=tuple(verts))
-        out.append(ConvexCell(base=base, cone=c.cone))
+            out.append(poly_cell([tuple(lam * x for x in v) for v in c.base.vertices], gens, full_space=full))
     return ref_union(out)
 
 

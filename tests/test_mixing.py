@@ -96,6 +96,12 @@ def test_markov_stationarity_checked():
         markov_driver(P_SYM, [0.9, 0.1], [-1.0, 1.0])
 
 
+def test_markov_stationary_vector_must_be_nonnegative():
+    # pi P = pi and sum(pi) = 1 hold for the identity chain, but pi is no law
+    with pytest.raises(ValueError, match="nonnegative"):
+        markov_driver([[1.0, 0.0], [0.0, 1.0]], [1.5, -0.5], [0.0, 1.0])
+
+
 NAN, INF = float("nan"), float("inf")
 
 
