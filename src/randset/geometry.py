@@ -22,12 +22,14 @@ cell lines are written straight from the rows. Every other cell is kept as a
 only, and `format_set_union` sorts its lines. Every distance, from a point
 to a cell or a union and in each exact or windowed Hausdorff path, and every
 containment question (is a vertex absorbed, is a box corner inside a clipped
-cell) runs through one batched kernel, `_polytope_distances` (behind
-`cell_distances`), that rounds bit for bit as the scalar formulas do; no
-solver is used. It measures the cells that share a cone and a vertex count
-at once, so a translate group is one kernel call. A cell with a cone is read
-from its facets (Minkowski-Weyl: hull(V) + C is an intersection of finitely
-many half-planes), so no distance or window clip cuts it to a polygon first.
+cell, is a vector in a cone) runs through one batched kernel,
+`_polytope_distances` (behind `cell_distances`), that rounds bit for bit as
+the scalar formulas do; no solver is used. Inside means within a stated
+distance: at most DEDUP_TOL beyond a facet's line, or for a vector v, within
+_CONE_TOL * |v| of a cone. The kernel measures the cells that share a cone
+and a vertex count at once, so a translate group is one call. A cell with a
+cone is read from its facets (Minkowski-Weyl: hull(V) + C is an intersection
+of finitely many half-planes), so no distance or window clip cuts it first.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from itertools import product
 import numpy as np
 
 DEDUP_TOL = 1e-12
-_CONE_TOL = 1e-9  # angular slack of cone_contains
+_CONE_TOL = 1e-9  # relative distance slack of cone_contains; angular slack of _canon_cone_2d
 DEFAULT_CELL_BUDGET = 10**6
 _EDGE_SAMPLES = 128  # subdivision used only for union-vs-union windowed sups
 
@@ -209,15 +211,14 @@ def _canon_cone_2d(units) -> Cone:
     gaps[-1] += 2.0 * math.pi
     widest = max(range(len(gaps)), key=lambda i: gaps[i])
     gap = gaps[widest]
-    ang_tol = 1e-9
-    if gap > math.pi + ang_tol:
+    if gap > math.pi + _CONE_TOL:
         # pointed sector: extreme rays flank the widest empty arc
         return Cone(dim=2, generators=tuple(sorted((ordered[widest], ordered[(widest + 1) % len(ordered)]))))
-    if gap >= math.pi - ang_tol:
+    if gap >= math.pi - _CONE_TOL:
         # generators fill a closed half-plane: either a line or a half-plane
         u = ordered[(widest + 1) % len(ordered)]
         line = (u, as_vector(vscale(-1.0, u)))
-        interior = [g for g in ordered if abs(_cross2(u, g)) > ang_tol]
+        interior = [g for g in ordered if abs(_cross2(u, g)) > _CONE_TOL]
         if len(ordered) == 2 or not interior:  # every generator lies on the line
             return Cone(dim=2, generators=tuple(sorted(line)))
         n = (-u[1], u[0])
@@ -228,36 +229,11 @@ def _canon_cone_2d(units) -> Cone:
 
 
 def cone_contains(cone: Cone, v) -> bool:
-    """Whether a vector belongs to the cone (exact up to _CONE_TOL)."""
+    """Whether v lies within DEDUP_TOL of 0 or _CONE_TOL * |v| of the cone, measured by the
+    kernel at v / |v| (a cone is scale-free), where its facet slack DEDUP_TOL is the lesser."""
     v = as_vector(v, cone.dim)
     n = vnorm(v)
-    if n <= DEDUP_TOL:
-        return True
-    if cone.full_space:
-        return True
-    if cone.is_trivial:
-        return False
-    if cone.dim == 1:
-        return v[0] * cone.generators[0][0] > 0
-    gens = cone.generators
-    if len(gens) == 1:
-        g = gens[0]
-        return abs(_cross2(g, v)) <= _CONE_TOL * n and vdot(g, v) > 0
-    if len(gens) == 3:  # half-plane {u, -u, inward normal}
-        normal = gens[0]
-        for g in gens:
-            others = [h for h in gens if h != g]
-            if abs(_cross2(others[0], others[1])) <= 1e-9:
-                normal = g  # the one whose two companions are collinear
-                break
-        return vdot(normal, v) >= -_CONE_TOL * n
-    g1, g2 = gens
-    det = _cross2(g1, g2)
-    if abs(det) <= 1e-12:  # line through g1
-        return abs(_cross2(g1, v)) <= _CONE_TOL * n
-    a = _cross2(v, g2) / det
-    b = _cross2(g1, v) / det
-    return a >= -_CONE_TOL and b >= -_CONE_TOL
+    return n <= DEDUP_TOL or _polytope_distances(np.array([v]) / n, np.zeros((1, 1, cone.dim)), cone)[0, 0] <= _CONE_TOL
 
 
 def cone_is_subset(inner: Cone, outer: Cone) -> bool:
@@ -383,15 +359,15 @@ def _poly_cell(vertices, cone: Cone) -> ConvexCell:
 
 def ball_cell(center, radius: float, cone_generators=(), full_space: bool = False) -> ConvexCell:
     c = as_vector(center)
-    radius = float(radius)
-    if not math.isfinite(radius) or radius < 0:
-        raise ValueError(f"ball radius must be finite and nonnegative, got {radius}")
-    cone = Cone.from_generators(len(c), cone_generators, full_space=full_space)
-    return _ball_cell(c, abs(radius), cone)  # abs: -0.0 -> 0.0
+    return _ball_cell(c, float(radius), Cone.from_generators(len(c), cone_generators, full_space=full_space))
 
 
 def _ball_cell(center, radius: float, cone: Cone) -> ConvexCell:
-    """The canonical cell ball(center, radius) + cone, for a cone already canonical."""
+    """The canonical cell ball(center, radius) + cone, for a cone already
+    canonical; a radius that is not finite and nonnegative raises."""
+    if not math.isfinite(radius) or radius < 0:
+        raise ValueError(f"ball radius must be finite and nonnegative, got {radius}")
+    radius += 0.0  # -0.0 -> 0.0
     if cone.full_space:  # the whole space has one canonical form, a polytope cell's
         return _poly_cell([center], cone)
     return ConvexCell(base=Ball(center=center, radius=radius), cone=cone)
@@ -852,11 +828,11 @@ def _polytope_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
     its facet half-planes (Minkowski-Weyl): the hull edges whose outward
     normal lies in the polar cone C° = {n : <n, g> <= 0 for every generator
     g}, and the lines through the extreme vertex along +g and -g of each
-    generator where that normal lies in C°. A point inside every facet (cross
-    product of the facet's direction and the point, unnormalised, at least
-    -1e-12) is at 0.0; otherwise its distance is the least to a hull edge or
-    to a ray v + t g, since the boundary lies in those pieces. A bounded
-    polygon has no rays and keeps every edge as a facet.
+    generator where that normal lies in C°. A point at most DEDUP_TOL beyond
+    every facet's line (cross product with the direction D at least
+    -DEDUP_TOL * |D|) is at 0.0; otherwise its distance is the least to a
+    hull edge or to a ray v + t g, since the boundary lies in those pieces.
+    A bounded polygon has no rays and keeps every edge as a facet.
     """
     r, k, d = V.shape
     X = P[:, None, :]
@@ -872,7 +848,7 @@ def _polytope_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
         return _segment_distances(X, V[:, 0], V[:, 1])
     G = np.array(cone.generators).reshape(-1, 2)
     n = k if k > 1 else 0  # a lone vertex has no edges
-    E = np.concatenate([V[:, 1:], V[:, :1]], axis=1)[:, :n]  # each next vertex; np.roll costs more on one row
+    E = np.concatenate([V[:, 1:], V[:, :1]], axis=1)[:, :n]  # each next vertex, in one copy: a small fixed cost on one row
     O, D = V[:, :n], E - V[:, :n]  # each facet as an origin and a direction, the cell on its left
     facet = True
     if len(G):
@@ -882,7 +858,7 @@ def _polytope_distances(P: np.ndarray, V: np.ndarray, cone: Cone) -> np.ndarray:
         D = np.concatenate([D, S[None].repeat(r, axis=0)], axis=1)
         facet = (D[..., None, 1] * G[:, 0] - D[..., None, 0] * G[:, 1] <= 0.0).all(axis=2)  # <(D_y, -D_x), g> <= 0
     W = X[:, None] - O
-    outside = ((D[..., 0] * W[..., 1] - D[..., 1] * W[..., 0] < -1e-12) & facet).any(axis=2)
+    outside = ((D[..., 0] * W[..., 1] - D[..., 1] * W[..., 0] < -DEDUP_TOL * _norms(D)) & facet).any(axis=2)
     pieces = [_segment_distances(X[:, None], V[:, :n], E)] + [_ray_distances(X[:, None], V, g) for g in G]
     return np.where(outside, np.concatenate(pieces, axis=2).min(axis=2), 0.0)
 

@@ -164,6 +164,16 @@ def test_scale_drops_a_vertex_that_falls_within_dedup_tol_of_an_edge():
     assert s.cells[0].base.vertices == ((0.0, 0.0), (1e-6, 0.0))
 
 
+def test_scale_and_sum_refuse_a_ball_radius_that_overflows():
+    # the radius of a scaled or summed ball is checked as ball_cell checks it,
+    # so no cell line reads "r=inf", which parse_set_union refuses
+    with pytest.raises(ValueError, match="ball radius must be finite"):
+        scale(1e308, union_of([ball_cell((0, 0), 10)]))
+    big = union_of([ball_cell((0, 0), 1e308)])
+    with pytest.raises(ValueError, match="ball radius must be finite"):
+        minkowski_sum(big, big)
+
+
 # ---------------------------------------------------------------------------
 # hulls and membership
 
@@ -471,6 +481,15 @@ def test_windowed_line_is_clipped_on_the_box():
     assert hausdorff_windowed(x_axis, point_union([(0.0, 0.0)]), R) == R
 
 
+def test_a_tiny_square_measures_points_just_outside_it():
+    # the facet slack is DEDUP_TOL in distance, whatever the edge's length
+    square = poly_cell([(0, 0), (1e-6, 0), (1e-6, 1e-6), (0, 1e-6)])
+    assert point_to_cell_distance((5e-7, -5e-7), square) == 5e-7
+    assert abs(point_to_cell_distance((5e-7, 1.4e-6), square) - 4e-7) <= 1e-21
+    taller = poly_cell([(0, 0), (1e-6, 0), (1e-6, 1.5e-6), (0, 1.5e-6)])
+    assert abs(hausdorff(union_of([square]), union_of([taller])) - 5e-7) <= 1e-21
+
+
 def near_pi_sector():
     """A sector 1e-8 short of a half-plane. A truncation sized by cos(opening
     / 2), floored at 1e-6, cut it short and measured wrong distances."""
@@ -571,6 +590,13 @@ def test_cone_merge_is_generator_union():
     c1 = Cone.from_generators(2, [(1, 0)])
     c2 = Cone.from_generators(2, [(0, 1)])
     assert c1.merge(c2) == Cone.from_generators(2, [(1, 0), (0, 1)])
+
+
+def test_sector_membership_scales_with_the_vector():
+    # the same direction, 5e-10 below the quadrant relative to its length
+    quadrant = Cone.from_generators(2, [(1, 0), (0, 1)])
+    assert cone_contains(quadrant, (1, -5e-10)) and cone_contains(quadrant, (1e6, -5e-4))
+    assert not cone_contains(quadrant, (1, -2e-9)) and not cone_contains(quadrant, (1e6, -2e-3))
 
 
 def test_line_and_halfplane_membership():

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from randset.geometry import (
@@ -34,6 +34,7 @@ from randset.geometry import (
     as_vector,
     ball_cell,
     cell_distances,
+    cone_contains,
     cone_is_subset,
     convex_hull,
     dual_direction,
@@ -333,11 +334,12 @@ def ref_point_to_ray(p, origin, direction):
     return vnorm(vsub(p, vadd(origin, vscale(t, direction))))
 
 
-def ref_point_in_polygon(p, verts, tol=1e-12):
+def ref_point_in_polygon(p, verts, tol=DEDUP_TOL):
+    """Whether p lies at most tol beyond the line of every edge."""
     n = len(verts)
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
-        if _cross2(vsub(b, a), vsub(p, a)) < -tol:
+        if _cross2(vsub(b, a), vsub(p, a)) < -tol * vnorm(vsub(b, a)):
             return False
     return True
 
@@ -365,7 +367,7 @@ def ref_facet_distance(p, verts, gens):
         for s in (g, vscale(-1.0, g)):
             facets.append((min(verts, key=lambda v: _cross2(s, v)), s))
     for o, d in facets:
-        if all(ref_dot((d[1], -d[0]), g) <= 0.0 for g in gens) and _cross2(d, vsub(p, o)) < -1e-12:
+        if all(ref_dot((d[1], -d[0]), g) <= 0.0 for g in gens) and _cross2(d, vsub(p, o)) < -DEDUP_TOL * vnorm(d):
             break
     else:
         return 0.0
@@ -708,6 +710,59 @@ def test_cone_cell_distances_match_the_old_truncation(case):
     got = cell_distances(np.array(points), cell)
     for p, d in zip(points, got):
         assert abs(d - ref_truncated_distance(as_vector(p), cell)) <= 1e-9 * (1.0 + vnorm(p))
+
+
+@st.composite
+def cone_and_vector(draw):
+    """A canonical cone (a sector at least 1e-6 wide) and a vector of norm
+    2^30 * 1e-9 to 2^30 * 1e3, free or turned by 1e-11 to 1e-7 from a
+    generator's direction; scaled by 2^-30 it is still longer than
+    DEDUP_TOL, below which every vector is in every cone."""
+    dim = draw(st.integers(1, 2))
+    gens, full = draw(canonical_cone(dim))
+    cone = Cone.from_generators(dim, gens, full_space=full)
+    g = cone.generators
+    assume(len(g) != 2 or abs(_cross2(*g)) > 1e-6 or vdot(*g) < 0.0)
+    if dim == 2 and g and draw(st.booleans()):
+        u, eps = draw(st.sampled_from(g)), draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-11.0, -7.0))
+        v = (u[0] - eps * u[1], u[1] + eps * u[0])
+    else:
+        v = draw(st.tuples(*[real] * dim).filter(lambda v: math.hypot(*v) > 1e-3))
+    size = 2.0**30 * 10.0 ** draw(st.floats(-9.0, 3.0))
+    return cone, tuple(c * size / math.hypot(*v) for c in v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_and_vector())
+@example((Cone.from_generators(2, [(1, 0), (0, 1)]), (2.0**30, -2.0**30 * 5e-10)))
+def test_cone_membership_is_blind_to_power_of_two_scaling(case):
+    cone, v = case
+    assert {cone_contains(cone, tuple(2.0**k * c for c in v)) for k in range(-30, 31)} == {cone_contains(cone, v)}
+
+
+@st.composite
+def polygon_and_edge(draw):
+    """A convex polygon of dyadic points scaled by 1e-9 to 1e3, and one of its
+    edges (a, b), the polygon on its left."""
+    size = 10.0 ** draw(st.floats(-9.0, 3.0))
+    pts = draw(st.lists(point2, min_size=3, max_size=6))
+    verts = poly_cell([(size * x, size * y) for x, y in pts]).base.vertices
+    assume(len(verts) >= 3)
+    i = draw(st.integers(0, len(verts) - 1))
+    return verts, verts[i], verts[(i + 1) % len(verts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_and_edge())
+@example(([(0.0, 0.0), (1e-6, 0.0), (1e-6, 1e-6), (0.0, 1e-6)], (0.0, 0.0), (1e-6, 0.0)))
+def test_a_point_just_outside_an_edge_reads_its_distance(case):
+    # within 1e-6 relative, plus the rounding of coordinates as large as M
+    verts, a, b = case
+    push, (dx, dy) = 1e3 * DEDUP_TOL, vsub(b, a)
+    n = math.hypot(dx, dy)
+    p = ((a[0] + b[0]) / 2.0 + push * dy / n, (a[1] + b[1]) / 2.0 - push * dx / n)
+    M = max(abs(c) for v in verts for c in v)
+    assert abs(point_to_cell_distance(p, poly_cell(verts)) - push) <= 1e-6 * push + 4.0 * math.ulp(M)
 
 
 grid = st.integers(-12, 12).map(lambda k: k / 4.0)
