@@ -12,6 +12,9 @@ uniform u picks the first of i+1, i+2, .., i-1, i (mod s) whose cumulative
 transition probability exceeds u, so a path moves continuously with the
 transition matrix. Its path is scanned forward from the nearest state kept at
 a multiple of _STRIDE, so no draw replays the path from index 1.
+
+A normal law's quantiles are scipy's `scipy.special.ndtri`, imported at the
+first normal draw, so a run without a normal law never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 
 import numpy as np
-from scipy.special import ndtri
 
 from .rng import STREAM_DRIVER, STREAM_DRIVER_INIT, uniform_block
 
@@ -116,6 +118,8 @@ class Law:
         if self.kind == "uniform":
             return self.a + (self.b - self.a) * u
         if self.kind == "normal":
+            from scipy.special import ndtri  # imported here: see the module docstring
+
             return self.a + self.b * ndtri(u)
         if self.kind == "constant":
             return np.full_like(u, self.a)

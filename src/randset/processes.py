@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import rng
 from .geometry import (
@@ -110,6 +109,8 @@ def _emitted_values(d: ScalarDriver) -> set[float]:
 def _clamped_law_mean(law: Law) -> float | None:
     """E[max(0, X)] for X drawn from the law; None when X is never below 0."""
     if law.kind == "normal":
+        from scipy.special import ndtr  # imported at first use, as `ndtri` in `mixing`
+
         mu, sigma = law.a, law.b
         if sigma == 0.0 or ndtr(-mu / sigma) == 0.0:
             return None if mu >= 0.0 else 0.0

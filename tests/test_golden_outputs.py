@@ -7,9 +7,11 @@ files written and the SHA-256 of each must match the table below, 21 files
 over the 11 bundled configs.
 
 The hashes were taken with numpy 2.4.6 and scipy 1.17.1 on CPython 3.11. A
-different numpy or scipy may move the last bit of a float and so a hash. A
-change that means to alter an output re-pins its hash here and says why in
-CHANGES.md.
+different numpy may move the last bit of a float and so a hash. scipy computes
+only a normal law's quantiles and clamped mean, so of the 21 files only the
+three `ball_slln` hashes depend on scipy's version, and of the expansions
+below only `two_point_iid_normal`. A change that means to alter an output
+re-pins its hash here and says why in CHANGES.md.
 """
 
 import hashlib
