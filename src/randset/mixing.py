@@ -13,6 +13,9 @@ transition probability exceeds u, so a path moves continuously with the
 transition matrix. Its path is scanned forward from the nearest state kept at
 a multiple of _STRIDE, so no draw replays the path from index 1.
 
+A Markov block's draws take only the emission values, so checkpoint_means sums
+a block exactly from its state counts, rounded once as math.fsum rounds.
+
 A normal law's quantiles are scipy's `scipy.special.ndtri`, imported at the
 first normal draw, so a run without a normal law never loads scipy.
 """
@@ -31,6 +34,7 @@ from .rng import STREAM_DRIVER, STREAM_DRIVER_INIT, uniform_block
 _BLOCK = 1 << 16
 _STRIDE = 1 << 10  # a Markov chain's state is kept at every multiple of this index
 _KEPT_CHAINS = 64  # (chain, seed) pairs whose kept states stay in memory
+_TICKS = 1 << 1074  # ticks per unit: every finite float is a whole number of 2**-1074 ticks
 
 
 class MixingError(Exception):
@@ -370,6 +374,23 @@ def draw_at(driver: ScalarDriver, index: int, seed: int | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
+# exact sums
+
+
+def _ticks(x: float) -> int:
+    """x as an exact whole number of 2**-1074 ticks."""
+    n, d = x.as_integer_ratio()  # d = 2**k with k <= 1074
+    return n << (1075 - d.bit_length())
+
+
+def _exact_sum(values, counts) -> float:
+    """sum(c * v) over the pairs of values and counts, rounded once to the
+    nearest float, ties to even, as math.fsum rounds the same terms; raises
+    OverflowError when the sum lies beyond the float range."""
+    return sum(c * _ticks(v) for v, c in zip(values, counts)) / _TICKS
+
+
+# ---------------------------------------------------------------------------
 # phi coefficients
 
 
@@ -521,11 +542,13 @@ class PhiProfile:
         return PhiProfile.from_markov_chain(driver.transition, driver.stationary, n_terms)
 
     def csv_rows(self):
+        """Row n holds phi(n) and the sum of the first n square roots, each
+        sum rounded once, so the last row's equals sqrt_partial_sum."""
         rows = ["n,phi,phi_sqrt_partial_sum"]
-        partial = 0.0
+        ticks = 0
         for i, v in enumerate(self.values, start=1):
-            partial = math.fsum([partial, math.sqrt(v)])
-            rows.append(f"{i},{v!r},{partial!r}")
+            ticks += _ticks(math.sqrt(v))
+            rows.append(f"{i},{v!r},{ticks / _TICKS!r}")
         return rows
 
 
@@ -580,27 +603,34 @@ def summability_report(profile: PhiProfile) -> SummabilityReport:
 def checkpoint_means(
     driver: ScalarDriver, n_max: int, checkpoints, seed: int | None = None, clamp: bool = False
 ) -> list[float]:
-    """Running means m_n at the checkpoints, in one compensated streaming pass;
-    of max(0, draw) when clamp is set (the radii of random balls).
+    """Running means m_n at the checkpoints, in one streaming pass; of
+    max(0, draw) when clamp is set (the radii of random balls).
 
-    Draws are generated in blocks and reduced with math.fsum, so memory stays
-    at O(checkpoints + one block), plus for a Markov driver its kept states:
-    O(n_max / _STRIDE) ints per (chain, seed), for at most _KEPT_CHAINS
-    (chain, seed) pairs at a time.
+    Draws are taken in blocks, and each block's sum is rounded once: math.fsum
+    of its draws, or for a Markov driver, whose draws take only the emission
+    values, the exact sum over the block's state counts (_exact_sum). Memory
+    stays at O(checkpoints + one block of draws or states), plus for a Markov
+    driver its kept states: O(n_max / _STRIDE) ints per (chain, seed), for at
+    most _KEPT_CHAINS (chain, seed) pairs at a time.
     """
     checkpoints = [int(c) for c in checkpoints]
     if any(c < 1 or c > n_max for c in checkpoints) or checkpoints != sorted(checkpoints):
         raise ValueError("checkpoints must be sorted and within 1..n_max")
     seed = driver.seed if seed is None else seed
+    values = [max(e, 0.0) for e in driver.emissions] if clamp else driver.emissions
     means = []
     partials: list[float] = []
     done = 0
     for cp in checkpoints:
         while done < cp:
             count = min(_BLOCK, cp - done)
-            block = _draw_block(driver, seed, done, count)
-            # a memoryview hands fsum plain floats, faster than numpy scalars
-            partials.append(math.fsum(memoryview(np.maximum(block, 0.0) if clamp else block)))
+            if driver.family == "finite_markov":
+                states = _markov_states(driver, seed, done, count)
+                partials.append(_exact_sum(values, np.bincount(states, minlength=len(values)).tolist()))
+            else:
+                block = _draw_block(driver, seed, done, count)
+                # a memoryview hands fsum plain floats, faster than numpy scalars
+                partials.append(math.fsum(memoryview(np.maximum(block, 0.0) if clamp else block)))
             done += count
         means.append(math.fsum(partials) / done)
     return means

@@ -33,7 +33,7 @@ GOLDEN = {
     "needle_halo_certificate/report.json": "eaa7b9f50c680e1dfeda1fef37f91ea8dc9f3a8eef44f3a3784cb7202c11ad8f",
     "needle_halo_conditions/report.json": "cb1329f87731129bf6539b9a6724de0511cb7d185a655071089be39972ee1eaa",
     "needle_halo_km/report.json": "2d84605803d070fb858104027e1203843ae79fe7d9bd27ea043793adf5fa6980",
-    "phi_markov_profile/phi.csv": "244253840c8867e071a068764e56e6de35e0743eaab57ad7f89054ad73b21634",
+    "phi_markov_profile/phi.csv": "f9e28a65cae6ba0983eb81b1f935ad3f39e77c6a081194f2c2547e6233217e06",
     "phi_markov_profile/report.json": "e36a520dcb6c6836e1fd262ff79f3bf54b507d4699e66be83297a81c9243cd11",
     "ray_conditions/report.json": "6be1eb0840e3666ea2adff073de58b799d24d7032cc6989ff7344593d9429d1b",
     "ray_km_failure/report.json": "0c65f92bc1617788e2faffcf0126eea6a039c24149122c67ba0098f796613560",

@@ -9,7 +9,9 @@ imports are the package's exports. A private function, class or constant
 defined at module level counts as read when any module of the package loads
 it, by name or as an attribute. Importing the package, and building a cell
 whose vertex a cone absorbs, loads no `scipy` module: no solver is used, and
-only a normal law imports `scipy.special`, at its first use.
+only a normal law imports `scipy.special`, at its first use. Neither the
+import nor a Markov driver's running means load `fractions` or `decimal`: the
+exact block sums are plain integer arithmetic.
 """
 
 import ast
@@ -113,6 +115,12 @@ def test_no_unread_private_names():
     assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []
 
 
+def _fresh_process_output(code: str) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(randset.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return run.stdout.split()
+
+
 def test_import_loads_no_scipy():
     code = (
         "import sys, randset\n"
@@ -120,6 +128,15 @@ def test_import_loads_no_scipy():
         "print(cell == randset.ray_cell((0, 0), (1, 0)))\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(randset.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.split() == ["True", "[]"]
+    assert _fresh_process_output(code) == ["True", "[]"]
+
+
+def test_import_and_markov_means_load_no_fractions_or_decimal():
+    code = (
+        "import sys, randset\n"
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+        "d = randset.mixing.markov_driver([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], [-1.0, 1 / 3])\n"
+        "randset.mixing.checkpoint_means(d, 100, [1, 100], clamp=True)\n"
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    )
+    assert _fresh_process_output(code) == ["[]", "[]"]

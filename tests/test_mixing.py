@@ -2,6 +2,7 @@
 
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -354,6 +355,57 @@ def test_markov_paths_match_loop_at_real_block_sizes():
         check_checkpoint_means(d, 5, real[::3], ref)
 
 
+# the emissions 1/3 and 0.1 have inexact sums, so a reduction other than one
+# rounding of each block's exact sum moves a mean
+BOUNDARY_CHAINS = [
+    markov_driver([[0.2, 0.8], [0.6, 0.4]], [3 / 7, 4 / 7], [-0.1, 1 / 3]),
+    markov_driver([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]], [1 / 3, 1 / 3, 1 / 3], [-1 / 3, 0.1, 2.5]),
+]
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("d", BOUNDARY_CHAINS, ids=["two_states", "three_states"])
+def test_markov_checkpoint_means_across_block_boundaries(d, clamp):
+    B = mixing._BLOCK
+    cps = [1, B - 1, B, B + 1, 2 * B + 1]
+    draws = draw_sequence(d, cps[-1], 11)
+    want = reference_checkpoint_means(np.maximum(draws, 0.0) if clamp else draws, cps)
+    assert [repr(m) for m in checkpoint_means(d, cps[-1], cps, 11, clamp=clamp)] == [repr(m) for m in want]
+
+
+SUMMANDS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1 / 3, -1 / 3,
+                            0.1, -2.5, 1e300, -1e300, 1.7e308, -1.7e308])
+
+
+@example(values=[1e300, -1e300], counts=[65_536, 1], clamp=False)
+@example(values=[1.7e308, 1.0], counts=[2, 1], clamp=False)  # the sum overflows: both sides raise
+@example(values=[-1.7e308, -0.0], counts=[2, 1], clamp=True)
+@example(values=[5e-324, -1 / 3, 1 / 3], counts=[3, 7, 7], clamp=False)
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(SUMMANDS | st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=5),
+       counts=st.lists(st.integers(1, mixing._BLOCK), min_size=5, max_size=5),
+       clamp=st.booleans())
+def test_exact_sum_is_fsum_of_the_materialised_values(values, counts, clamp):
+    values = [max(v, 0.0) for v in values] if clamp else values
+    counts = counts[: len(values)]
+    draws = np.repeat(np.array(values), counts)
+    try:
+        want = repr(math.fsum(memoryview(draws)))
+    except OverflowError:
+        # fsum overflows when the sum does, and also when only a running
+        # partial does; the exact sum is then rounded once, or overflows
+        exact = sum(Fraction(v) * c for v, c in zip(values, counts))
+        try:
+            want = repr(float(exact))
+        except OverflowError:
+            want = "OverflowError"
+    try:
+        got = repr(mixing._exact_sum(values, counts))
+    except OverflowError:
+        got = "OverflowError"
+    assert got == want
+
+
 def count_driver_draws(monkeypatch):
     counted = [0]
 
@@ -507,6 +559,16 @@ def test_markov_profile_csv_shape():
     n, phi, ps = rows[1].split(",")
     assert (int(n), float(phi)) == (1, 0.4)
     assert float(ps) == pytest.approx(math.sqrt(0.4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.01, 0.99), q=st.floats(0.01, 0.99))
+def test_csv_partial_sums_are_rounded_once(p, q):
+    profile = PhiProfile.from_markov_chain([[1.0 - p, p], [q, 1.0 - q]], [q / (p + q), p / (p + q)], 60)
+    roots = [math.sqrt(v) for v in profile.values]
+    partials = [row.split(",")[2] for row in profile.csv_rows()[1:]]
+    assert partials == [repr(math.fsum(roots[:k])) for k in range(1, 61)]
+    assert partials[-1] == repr(profile.sqrt_partial_sum)
 
 
 def test_subsequence_sqrt_sum_bound():
