@@ -15,6 +15,10 @@ tables below (_CONFIG_KEYS and _EXPERIMENTS, with the driver, law and
 tolerance keys) are the reference for which keys each experiment takes.
 The environment variable RANDSET_SEED_OVERRIDE (an integer) replaces all
 configured seeds, for fuzzing runs.
+--threads N runs the seeds of every experiment that runs per seed (all but
+phi_profile and conditions_report, which run once) in up to N worker
+processes, no more than there are seeds or CPUs; a cell_expansion worker
+writes its own cells file. The output bytes are those of a serial run.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, make_dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -192,6 +197,13 @@ def _checkpoints(v, typed) -> tuple[int, ...]:
     return _check(lambda cps: list(cps) == sorted(cps), "sorted")(cps)
 
 
+def _seeds(v, typed) -> tuple[int, ...]:
+    seeds = _list(_number(integer=True), nonempty=True)(v)
+    if len(set(seeds)) < len(seeds):  # one replication, and one cells file, per seed
+        raise ValueError(f"must not repeat, got {v!r}")
+    return seeds
+
+
 def _tolerances(v, typed) -> dict:
     tolerances, problems = _fields(v, _TOLERANCE_KEYS, typed["experiment"])
     if problems:
@@ -248,7 +260,7 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 _TRAJECTORIES = ("hausdorff_slln", "scalar_slln")
 _TOLERANCE_KEYS = {
     "final_value": _Key(_TRAJECTORIES, 0.02, _number()),
-    "min_pass_count": _Key(_TRAJECTORIES, None, _optional(_number(integer=True))),  # None: every seed
+    "min_pass_count": _Key(_TRAJECTORIES, None, _optional(_number(1, _NUMBER_LIMIT, integer=True))),  # None: every seed
     "km_tolerance": _Key(("km_diagnostics",), 0.05, _number()),
 }
 
@@ -271,7 +283,7 @@ _CONFIG_KEYS = {
     "directions": _Key(("conditions_report",), [],
                        lambda v, t: tuple(dual_direction(d, t["family"].dimension) for d in _vectors(v)),
                        ("family",)),
-    "seeds": _Key(EXPERIMENTS, [0], _list(_number(integer=True), nonempty=True)),
+    "seeds": _Key(EXPERIMENTS, [0], _seeds),
     "tolerances": _Key(EXPERIMENTS, {}, _tolerances),
     "expect": _Key(EXPERIMENTS, None, _optional_string),
     "output_dir": _Key(EXPERIMENTS, None, _optional_string),
@@ -331,24 +343,27 @@ def bundled_config_path(name: str) -> Path:
 # experiment execution
 
 
-def _seed_trajectory(args) -> Trajectory:
-    cfg, seed = args
+def _per_seed(fn, seeds, threads: int) -> list:
+    """[fn(s) for s in seeds], in seed order, over at most threads worker
+    processes; fn must pickle (a module-level function or a partial of one)."""
+    # a fork-started pool launches every worker at once, so never ask for
+    # more than there are seeds or CPUs
+    workers = min(threads, len(seeds), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(s) for s in seeds]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, seeds))
+
+
+def _seed_trajectory(cfg: ExperimentConfig, seed: int) -> Trajectory:
     if cfg.experiment == "hausdorff_slln":
-        return run_hausdorff_slln(cfg.spec, cfg.target, cfg.n_max, cfg.checkpoints, [seed])[0]
+        return run_hausdorff_slln(cfg.spec, cfg.target, cfg.n_max, cfg.checkpoints, seed)
     ns, values = zip(*scalar_slln_trajectory(cfg.driver, cfg.n_max, cfg.checkpoints, seed))
     return Trajectory(checkpoints=ns, values=values, metric_name="scalar_slln", seed=seed)
 
 
 def _run_trajectory_experiment(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
-    jobs = [(cfg, s) for s in cfg.seeds]
-    # a fork-started pool launches every worker at once, so never ask for
-    # more than there are seeds or CPUs
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(_seed_trajectory, jobs))
-    else:
-        trajectories = [_seed_trajectory(j) for j in jobs]
+    trajectories = _per_seed(partial(_seed_trajectory, cfg), cfg.seeds, threads)
     (out / "trajectory.csv").write_text(trajectory_csv(trajectories))
     finals = {t.seed: t.values[-1] for t in trajectories}
     tol, need = cfg.tolerances["final_value"], cfg.tolerances["min_pass_count"]
@@ -374,25 +389,24 @@ def _merge_per_seed(cfg: ExperimentConfig, reports) -> tuple[str, dict]:
 
 
 def _run_km(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
-    args = (cfg.spec, cfg.probes, cfg.window_radius, cfg.n_max, cfg.checkpoints)
-    tol = cfg.tolerances["km_tolerance"]
-    return _merge_per_seed(cfg, [run_km_diagnostics(*args, s, tolerance=tol) for s in cfg.seeds])
+    fn = partial(run_km_diagnostics, cfg.spec, cfg.probes, cfg.window_radius, cfg.n_max, cfg.checkpoints,
+                 tolerance=cfg.tolerances["km_tolerance"])
+    return _merge_per_seed(cfg, _per_seed(fn, cfg.seeds, threads))
 
 
 def _run_cone_tracking(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
-    return _merge_per_seed(cfg, [cone_tracking(cfg.spec, cfg.n_max, s) for s in cfg.seeds])
+    return _merge_per_seed(cfg, _per_seed(partial(cone_tracking, cfg.spec, cfg.n_max), cfg.seeds, threads))
 
 
 def _run_halo(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
-    per_seed = []
-    all_ok = True
-    for s in cfg.seeds:
-        rows = []
-        for n, (a_in, in_halo, r_n) in enumerate(halo_certificates(cfg.spec, cfg.n_max, s), 1):
-            all_ok = all_ok and a_in and in_halo
-            rows.append({"n": n, "A_subset_Sn": a_in, "Sn_in_halo": in_halo, "r_n": r_n})
-        per_seed.append({"seed": s, "certificates": rows})
+    certificates = _per_seed(partial(halo_certificates, cfg.spec, cfg.n_max), cfg.seeds, threads)
+    all_ok = all(a_in and in_halo for rows in certificates for a_in, in_halo, _ in rows)
     verdict = "certified" if all_ok else "violated"
+    per_seed = [
+        {"seed": s, "certificates": [{"n": n, "A_subset_Sn": a_in, "Sn_in_halo": in_halo, "r_n": r_n}
+                                     for n, (a_in, in_halo, r_n) in enumerate(rows, 1)]}
+        for s, rows in zip(cfg.seeds, certificates)
+    ]
     return verdict, {"experiment": cfg.experiment, "verdict": verdict, "per_seed": per_seed}
 
 
@@ -413,12 +427,16 @@ def _run_conditions(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str
     return rep.overall, {**rep.as_dict(), "experiment": cfg.experiment}
 
 
+def _seed_expansion(cfg: ExperimentConfig, out: Path, seed: int) -> dict:
+    """Expand one seed and write its cells file here, in the worker, so only
+    the cell count travels back."""
+    sn = exact_cell_expansion(cfg.spec, cfg.n_max, seed)
+    (out / f"cells_seed{seed}.txt").write_text(format_set_union(sn))
+    return {"seed": seed, "cell_count": sn.cell_count}
+
+
 def _run_expansion(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
-    per_seed = []
-    for s in cfg.seeds:
-        sn = exact_cell_expansion(cfg.spec, cfg.n_max, s)
-        (out / f"cells_seed{s}.txt").write_text(format_set_union(sn))
-        per_seed.append({"seed": s, "cell_count": sn.cell_count})
+    per_seed = _per_seed(partial(_seed_expansion, cfg, out), cfg.seeds, threads)
     return "ok", {"experiment": cfg.experiment, "verdict": "ok", "n": cfg.n_max, "per_seed": per_seed}
 
 
@@ -554,7 +572,8 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("config", help="path to a config JSON (or a bundled config name)")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--threads", type=int, default=1, help="parallel workers across seeds")
+    run_p.add_argument("--threads", type=int, default=1,
+                       help="worker processes across the seeds of a per-seed experiment")
     plot_p = sub.add_parser("plot", help="render a trajectory CSV as SVG")
     plot_p.add_argument("csv", help="trajectory CSV path")
     plot_p.add_argument("svg", help="output SVG path")

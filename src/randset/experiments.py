@@ -128,10 +128,8 @@ def _running_means(spec: SetProcessSpec, n_max: int, checkpoints, seed):
     return mu, checkpoint_means(spec.driver, n_max, checkpoints, seed, clamp=ball)
 
 
-def run_hausdorff_slln(
-    spec: SetProcessSpec, target: str, n_max: int, checkpoints, seeds
-) -> list[Trajectory]:
-    """Exact Hausdorff trajectories of the running Minkowski average.
+def run_hausdorff_slln(spec: SetProcessSpec, target: str, n_max: int, checkpoints, seed: int) -> Trajectory:
+    """Exact Hausdorff trajectory of the running Minkowski average of one seed.
 
     target is "A" (claimed expectation) or "coA" (its convexification). Each
     family admits an exact incremental form: the segment average is the
@@ -145,25 +143,20 @@ def run_hausdorff_slln(
     if target not in ("A", "coA"):
         raise ValueError("target must be 'A' or 'coA'")
     checkpoints = [int(c) for c in checkpoints]
-    out = []
-    for seed in seeds:
-        mu, means = _running_means(spec, n_max, checkpoints, seed)
-        values = []
-        for cp, m in zip(checkpoints, means):
-            if spec.family == "two_point":
-                lattice_h = lattice_interval_hausdorff if target == "coA" else lattice_two_point_hausdorff
-                values.append(lattice_h(m - mu, cp))
-            else:
-                values.append(abs(m - mu))
-        out.append(
-            Trajectory(
-                checkpoints=tuple(checkpoints),
-                values=tuple(values),
-                metric_name=f"hausdorff_{spec.family}_{target}",
-                seed=int(seed),
-            )
-        )
-    return out
+    mu, means = _running_means(spec, n_max, checkpoints, seed)
+    values = []
+    for cp, m in zip(checkpoints, means):
+        if spec.family == "two_point":
+            lattice_h = lattice_interval_hausdorff if target == "coA" else lattice_two_point_hausdorff
+            values.append(lattice_h(m - mu, cp))
+        else:
+            values.append(abs(m - mu))
+    return Trajectory(
+        checkpoints=tuple(checkpoints),
+        values=tuple(values),
+        metric_name=f"hausdorff_{spec.family}_{target}",
+        seed=int(seed),
+    )
 
 
 # ---------------------------------------------------------------------------

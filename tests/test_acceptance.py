@@ -263,7 +263,7 @@ def test_criterion_4_segment_family():
     spec = segment_process(MK)
     finals = []
     for seed in SEEDS_20:
-        traj = run_hausdorff_slln(spec, "coA", 10**6, CHECKPOINTS_1E6, [seed])[0]
+        traj = run_hausdorff_slln(spec, "coA", 10**6, CHECKPOINTS_1E6, seed)
         means = checkpoint_means(MK, 10**6, CHECKPOINTS_1E6, seed)
         for v, m in zip(traj.values, means):
             assert v == abs(m)  # exact identity, not a tolerance
@@ -290,7 +290,7 @@ def test_criterion_5_two_point_family():
             assert abs(lattice_interval_hausdorff(m, n) - brute) <= 1e-12
     finals = []
     for seed in SEEDS_20:
-        traj = run_hausdorff_slln(spec, "coA", 10**6, CHECKPOINTS_1E6, [seed])[0]
+        traj = run_hausdorff_slln(spec, "coA", 10**6, CHECKPOINTS_1E6, seed)
         means = checkpoint_means(MK, 10**6, CHECKPOINTS_1E6, seed)
         for cp, v, m in zip(CHECKPOINTS_1E6, traj.values, means):
             assert v <= abs(m) + 0.5 / cp + 1e-15

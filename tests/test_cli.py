@@ -94,7 +94,9 @@ def test_config_round_trip_is_canonical(name):
         pytest.param(None, {"checkpoints": 5}, None, "checkpoints", id="checkpoints"),
         pytest.param(None, {"n_max": True, "checkpoints": [1]}, None, "n_max", id="n_max"),
         pytest.param(None, {"seeds": [True]}, None, "seeds", id="seeds"),
+        pytest.param(None, {"seeds": [1, 1]}, None, "seeds", id="seeds_repeat"),
         pytest.param(None, {"tolerances": {"final_value": "x"}}, None, "tolerances", id="tolerances"),
+        pytest.param(None, {"tolerances": {"min_pass_count": 0}}, None, "tolerances", id="min_pass_count_below_one"),
         pytest.param(None, {}, "x", "RANDSET_SEED_OVERRIDE", id="seed_override"),
         pytest.param(None, {"output_dir": 5}, None, "output_dir", id="output_dir"),
         pytest.param(
@@ -317,7 +319,7 @@ def n_max(exp, family, cfg):
 
 
 def tolerances(exp, family, cfg):
-    values = {"final_value": st.floats(0.0, 1.0), "min_pass_count": st.none() | st.integers(0, 2),
+    values = {"final_value": st.floats(0.0, 1.0), "min_pass_count": st.none() | st.integers(1, 2),
               "km_tolerance": st.floats(0.0, 1.0)}
     taken = [k for k, key in cli._TOLERANCE_KEYS.items() if exp in key.kinds]
     return st.fixed_dictionaries({}, optional={k: values[k] for k in taken})
@@ -336,7 +338,7 @@ VALID = {
     "n_terms": lambda exp, family, cfg: st.integers(10, 30),
     "targets": targets,
     "directions": directions,
-    "seeds": lambda exp, family, cfg: st.lists(st.integers(0, 2**40), min_size=1, max_size=2),
+    "seeds": lambda exp, family, cfg: st.lists(st.integers(0, 2**40), min_size=1, max_size=2, unique=True),
     "tolerances": tolerances,
     "expect": lambda exp, family, cfg: st.none() | st.text(max_size=8),
     "output_dir": lambda exp, family, cfg: st.none() | st.just("unused"),
@@ -508,23 +510,56 @@ def test_seed_override_env(tmp_path, monkeypatch):
     assert cfg.seeds == (123,)
 
 
-def test_threads_flag_matches_serial(tmp_path):
-    asym = {"family": "finite_markov", "transition": [[0.9, 0.1], [0.3, 0.7]],
-            "stationary": [0.75, 0.25], "emissions": [-1.0, 3.0]}
-    markov = {"driver": asym, "n_max": 5000, "checkpoints": [10, 3000, 5000]}
-    for name, over in (("iid", {}), ("markov", markov)):
-        cfg = parse_config(minimal_cfg(seeds=[1, 2, 3, 4], **over))
-        mixing._kept_chain.cache_clear()
-        if over:
-            # forked workers inherit kept chain states for seeds 1 and 3 only
-            for seed in (1, 3):
-                draw_at(cfg.driver, 2500, seed)
-        run_config(cfg, tmp_path / name / "parallel", threads=2)
-        mixing._kept_chain.cache_clear()
-        run_config(cfg, tmp_path / name / "serial", threads=1)
-        assert (tmp_path / name / "serial" / "trajectory.csv").read_bytes() == (
-            tmp_path / name / "parallel" / "trajectory.csv"
-        ).read_bytes()
+def bundled(name, **over):
+    return {**json.loads(bundled_config_path(f"{name}.json").read_text()), **over}
+
+
+ASYM_CHAIN = {"family": "finite_markov", "transition": [[0.9, 0.1], [0.3, 0.7]],
+              "stationary": [0.75, 0.25], "emissions": [-1.0, 3.0]}
+MARKOV_RUN = {"driver": ASYM_CHAIN, "n_max": 5000, "checkpoints": [10, 3000, 5000], "seeds": [1, 2, 3, 4]}
+# every experiment that runs per seed, each with several seeds
+PER_SEED = {
+    "scalar_slln": minimal_cfg(seeds=[1, 2, 3, 4]),
+    "scalar_slln_markov": minimal_cfg(**MARKOV_RUN),
+    "hausdorff_slln": bundled("segment_slln", **MARKOV_RUN),
+    "km_diagnostics": bundled("needle_halo_km", n_max=1000, checkpoints=[10, 16, 1000], seeds=[1, 2, 3]),
+    "cone_tracking": bundled("ray_km_failure", seeds=[1, 2, 3]),
+    "halo_certificate": bundled("needle_halo_certificate", n_max=10, seeds=[1, 2, 3]),
+    "cell_expansion": bundled("halo_expansion", seeds=[1, 2, 3]),
+}
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert sorted(p.name for p in b.iterdir()) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", PER_SEED)
+def test_threads_flag_matches_serial(name, tmp_path):
+    cfg = parse_config(PER_SEED[name])
+    mixing._kept_chain.cache_clear()
+    if cfg.driver is not None and cfg.driver.family == "finite_markov":
+        # forked workers inherit kept chain states for seeds 1 and 3 only
+        for seed in (1, 3):
+            draw_at(cfg.driver, 2500, seed)
+    run_config(cfg, tmp_path / "parallel", threads=2)
+    mixing._kept_chain.cache_clear()
+    run_config(cfg, tmp_path / "serial", threads=1)
+    assert_same_files(tmp_path / "serial", tmp_path / "parallel")
+
+
+def test_threads_expansion_matches_serial_in_a_fresh_process(tmp_path):
+    # a fresh parent has no warm state for its forked workers to inherit
+    (tmp_path / "cfg.json").write_text(json.dumps(bundled("halo_expansion", n_max=12, seeds=[1, 2])))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    for threads in ("2", "1"):
+        argv = ["run", "cfg.json", "--out", f"threads{threads}", "--threads", threads]
+        code = f"import sys\nfrom randset import cli\nsys.exit(cli.main({argv!r}))\n"
+        subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, check=True)
+    assert (tmp_path / "threads1" / "cells_seed2.txt").exists()
+    assert_same_files(tmp_path / "threads1", tmp_path / "threads2")
 
 
 def test_threads_clamped_to_seeds_and_cpus(tmp_path, monkeypatch):
@@ -582,6 +617,19 @@ def test_output_directory_that_cannot_be_created_exits_two(where, tmp_path, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Error: " in err and "Traceback" not in err
+
+
+def test_write_failure_in_a_worker_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bundled("halo_expansion", seeds=[1, 2])))
+    (tmp_path / "out" / "cells_seed2.txt").mkdir(parents=True)
+    errs = []
+    for threads in ("1", "2"):
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--threads", threads]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("IsADirectoryError: ") and errs[0].count("\n") == 1 and "Traceback" not in errs[0]
+    assert "cells_seed2.txt" in errs[0]
 
 
 def test_ball_with_unknown_clamped_mean_exits_two(tmp_path):

@@ -61,13 +61,13 @@ CPS = [10, 50, 200, 1000]
 
 
 def test_segment_trajectory_is_abs_mean():
-    trajs = run_hausdorff_slln(segment_process(MK), "coA", 1000, CPS, [3])
+    traj = run_hausdorff_slln(segment_process(MK), "coA", 1000, CPS, 3)
     means = checkpoint_means(MK, 1000, CPS, 3)
-    assert trajs[0].values == tuple(abs(m) for m in means)
+    assert traj.values == tuple(abs(m) for m in means)
 
 
 def test_two_point_trajectory_bounds_and_equality():
-    traj = run_hausdorff_slln(two_point_process(MK), "coA", 1000, CPS, [3])[0]
+    traj = run_hausdorff_slln(two_point_process(MK), "coA", 1000, CPS, 3)
     means = checkpoint_means(MK, 1000, CPS, 3)
     for cp, v, m in zip(CPS, traj.values, means):
         assert abs(m) - 1e-15 <= v <= abs(m) + 0.5 / cp + 1e-15
@@ -77,9 +77,9 @@ def test_two_point_trajectory_bounds_and_equality():
 
 
 def test_ball_trajectory_is_radius_gap():
-    trajs = run_hausdorff_slln(ball_process(ALT), "coA", 1000, CPS, [1])
+    traj = run_hausdorff_slln(ball_process(ALT), "coA", 1000, CPS, 1)
     means = checkpoint_means(ALT, 1000, CPS, 1)
-    assert trajs[0].values == tuple(abs(m - 1.0) for m in means)
+    assert traj.values == tuple(abs(m - 1.0) for m in means)
 
 
 def test_ball_trajectory_averages_the_clamped_radii():
@@ -89,7 +89,7 @@ def test_ball_trajectory_averages_the_clamped_radii():
     closed = 0.2 * 0.5 * math.erfc(-z / math.sqrt(2.0)) + 0.5 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     cps = [10, 100, 1000, 2000]
     radii = np.maximum(draw_sequence(driver, 2000, 1), 0.0)
-    (traj,) = run_hausdorff_slln(ball_process(driver), "coA", 2000, cps, [1])
+    traj = run_hausdorff_slln(ball_process(driver), "coA", 2000, cps, 1)
     for cp, v in zip(cps, traj.values):
         assert type(v) is float
         assert abs(v - abs(float(radii[:cp].mean()) - closed)) <= 1e-12
@@ -101,11 +101,11 @@ def test_ball_trajectory_averages_the_clamped_radii():
 def test_unbounded_families_rejected():
     for spec in (needle_halo_process(), ray_process()):
         with pytest.raises(UnboundedFamily):
-            run_hausdorff_slln(spec, "coA", 100, [100], [1])
+            run_hausdorff_slln(spec, "coA", 100, [100], 1)
 
 
 def test_trajectory_csv_schema():
-    trajs = run_hausdorff_slln(segment_process(MK), "coA", 100, [10, 100], [1, 2])
+    trajs = [run_hausdorff_slln(segment_process(MK), "coA", 100, [10, 100], s) for s in (1, 2)]
     csv = trajectory_csv(trajs)
     lines = csv.strip().split("\n")
     assert lines[0] == "metric,seed,n,value"
@@ -165,17 +165,17 @@ def test_incremental_matches_expansion_small_n():
     # the closed forms agree with the generic cell engine at small n
     for seed in (1, 2):
         for n in (2, 5, 10):
-            seg = run_hausdorff_slln(segment_process(MK), "coA", n, [n], [seed])[0].values[0]
+            seg = run_hausdorff_slln(segment_process(MK), "coA", n, [n], seed).values[0]
             sn = exact_cell_expansion(segment_process(MK), n, seed)
             assert seg == pytest.approx(
                 hausdorff(sn, union_of([interval_cell(0.0, 1.0)])), abs=1e-12
             )
-            tp = run_hausdorff_slln(two_point_process(MK), "coA", n, [n], [seed])[0].values[0]
+            tp = run_hausdorff_slln(two_point_process(MK), "coA", n, [n], seed).values[0]
             sn2 = exact_cell_expansion(two_point_process(MK), n, seed)
             assert tp == pytest.approx(
                 hausdorff(sn2, union_of([interval_cell(0.0, 1.0)])), abs=1e-12
             )
-            bl = run_hausdorff_slln(ball_process(ALT), "coA", n, [n], [seed])[0].values[0]
+            bl = run_hausdorff_slln(ball_process(ALT), "coA", n, [n], seed).values[0]
             sn3 = exact_cell_expansion(ball_process(ALT), n, seed)
             from randset.geometry import ball_cell
 
