@@ -14,7 +14,8 @@ drawn, with a "ConfigInvalid: <key>: <problem>" line per problem. The schema
 tables below (_CONFIG_KEYS and _EXPERIMENTS, with the driver, law and
 tolerance keys) are the reference for which keys each experiment takes.
 The environment variable RANDSET_SEED_OVERRIDE (an integer) replaces all
-configured seeds, for fuzzing runs.
+configured seeds, for fuzzing runs; a trajectory run then requires at most
+that one seed to pass.
 --threads N runs the seeds of every experiment that runs per seed (all but
 phi_profile and conditions_report, which run once) in up to N worker
 processes, no more than there are seeds or CPUs; a cell_expansion worker
@@ -206,6 +207,9 @@ def _seeds(v, typed) -> tuple[int, ...]:
 
 def _tolerances(v, typed) -> dict:
     tolerances, problems = _fields(v, _TOLERANCE_KEYS, typed["experiment"])
+    need, seeds = tolerances.get("min_pass_count"), typed.get("seeds")
+    if need is not None and seeds is not None and need > len(seeds):  # a run that could never converge
+        problems.append(f"min_pass_count: must be at most the {len(seeds)} configured seeds, got {need}")
     if problems:
         raise ValueError("; ".join(problems))
     return tolerances
@@ -367,7 +371,8 @@ def _run_trajectory_experiment(cfg: ExperimentConfig, out: Path, threads: int) -
     (out / "trajectory.csv").write_text(trajectory_csv(trajectories))
     finals = {t.seed: t.values[-1] for t in trajectories}
     tol, need = cfg.tolerances["final_value"], cfg.tolerances["min_pass_count"]
-    need = len(cfg.seeds) if need is None else need
+    # RANDSET_SEED_OVERRIDE may leave fewer seeds than the configured count
+    need = len(cfg.seeds) if need is None else min(need, len(cfg.seeds))
     passed = sum(1 for v in finals.values() if v <= tol)
     verdict = "converged" if passed >= need else "not_converged"
     report = {

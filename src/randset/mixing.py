@@ -257,18 +257,21 @@ def _draw_block(driver: ScalarDriver, seed: int, start: int, count: int) -> np.n
     if even == odd:
         base = even.quantile(u)
     else:
+        # stride rule: block position k has 1-based index start + k + 1, so the
+        # even indices are the positions j, j + 2, .. with j = (start + 1) % 2
         base = np.empty(count + m, dtype=float)
-        at_even = np.arange(start + 1, start + count + m + 1) % 2 == 0  # 1-based indices
-        base[at_even] = even.quantile(u[at_even])
-        base[~at_even] = odd.quantile(u[~at_even])
+        j = (start + 1) % 2
+        base[j::2] = even.quantile(u[j::2])
+        base[1 - j :: 2] = odd.quantile(u[1 - j :: 2])
     if m == 0:
         return base
     # fixed-order windowed sum keeps each output bit-identical no matter
     # where the block boundaries fall
-    acc = base[:count]
+    acc = base[:count].copy()
     for i in range(1, m + 1):
-        acc = acc + base[i : i + count]
-    return acc / (m + 1)
+        acc += base[i : i + count]
+    acc /= m + 1
+    return acc
 
 
 class _KeptChain:

@@ -4,6 +4,10 @@ Every draw is a pure function of (seed, stream, index): the generator hashes a
 64-bit counter with the splitmix64 finalizer, so draws can be produced in any
 order, in blocks, or in parallel and still agree bit for bit. Streams separate
 independent uses (driver draws, halo points, sign flips) within one seed.
+
+A block is computed in one counter buffer that the drawing function owns (a
+copy of the caller's indices, or a fresh range), hashed there in place: a
+caller's indices are never written.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 _SEED_SALT = 0x8C62B1A39F2DD5E3
 _STREAM_SALT = 0xD1342543DE82EF95
+# the array path's constants, built once: a 1-draw call would otherwise pay
+# for them on every call
+_U_GAMMA, _U_MUL1, _U_MUL2 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+_U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 
 # stream ids used across the package (any distinct constants work)
 STREAM_DRIVER = 0x01
@@ -36,29 +44,32 @@ def _stream_base(seed: int, stream: int) -> int:
     return (s ^ t) & _MASK
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MUL1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MUL2)
-    x ^= x >> np.uint64(31)
-    return x
+def _uniforms(ctr: np.ndarray, base: int) -> np.ndarray:
+    """Uniform(0,1) draws at counters ctr past base; ctr (uint64, owned by the
+    caller of this function) is overwritten with its splitmix64 hashes."""
+    ctr *= _U_GAMMA
+    ctr += np.uint64(base)
+    ctr ^= ctr >> _U30
+    ctr *= _U_MUL1
+    ctr ^= ctr >> _U27
+    ctr *= _U_MUL2
+    ctr ^= ctr >> _U31
+    # 53-bit mantissa, offset by half a ulp so values live strictly inside (0,1)
+    ctr >>= _U11
+    u = ctr.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def uniform_at(seed: int, stream: int, indices: np.ndarray | list[int]) -> np.ndarray:
     """Uniform(0,1) draws at the given counter indices (vectorized, order-free)."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    base = np.uint64(_stream_base(seed, stream))
-    ctr = base + idx * np.uint64(_GAMMA)
-    bits = _mix64_array(ctr)
-    # 53-bit mantissa, offset by half a ulp so values live strictly inside (0,1)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    return _uniforms(np.array(indices, dtype=np.uint64), _stream_base(seed, stream))
 
 
 def uniform_block(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """Uniform(0,1) draws for counter indices start .. start+count-1."""
-    return uniform_at(seed, stream, np.arange(start, start + count, dtype=np.uint64))
+    return _uniforms(np.arange(start, start + count, dtype=np.uint64), _stream_base(seed, stream))
 
 
 def unit_disk_point(seed: int, index: int) -> tuple[float, float]:

@@ -97,6 +97,7 @@ def test_config_round_trip_is_canonical(name):
         pytest.param(None, {"seeds": [1, 1]}, None, "seeds", id="seeds_repeat"),
         pytest.param(None, {"tolerances": {"final_value": "x"}}, None, "tolerances", id="tolerances"),
         pytest.param(None, {"tolerances": {"min_pass_count": 0}}, None, "tolerances", id="min_pass_count_below_one"),
+        pytest.param(None, {"tolerances": {"min_pass_count": 3}}, None, "tolerances", id="min_pass_count_above_seeds"),
         pytest.param(None, {}, "x", "RANDSET_SEED_OVERRIDE", id="seed_override"),
         pytest.param(None, {"output_dir": 5}, None, "output_dir", id="output_dir"),
         pytest.param(
@@ -319,7 +320,8 @@ def n_max(exp, family, cfg):
 
 
 def tolerances(exp, family, cfg):
-    values = {"final_value": st.floats(0.0, 1.0), "min_pass_count": st.none() | st.integers(1, 2),
+    seeds = len(cfg.get("seeds", cli._CONFIG_KEYS["seeds"].default))
+    values = {"final_value": st.floats(0.0, 1.0), "min_pass_count": st.none() | st.integers(1, seeds),
               "km_tolerance": st.floats(0.0, 1.0)}
     taken = [k for k, key in cli._TOLERANCE_KEYS.items() if exp in key.kinds]
     return st.fixed_dictionaries({}, optional={k: values[k] for k in taken})
@@ -362,6 +364,9 @@ def table_configs(draw):
 def shrink(cfg):
     """A bundled config at sizes that run in milliseconds."""
     cfg = dict(cfg, seeds=cfg.get("seeds", [1])[:2])
+    tol = cfg.get("tolerances", {})
+    if "min_pass_count" in tol:  # a pass count may not exceed the seeds kept
+        cfg["tolerances"] = dict(tol, min_pass_count=min(tol["min_pass_count"], len(cfg["seeds"])))
     if "n_max" in cfg:
         cfg["n_max"] = min(cfg["n_max"], SMALL_N)
     if "checkpoints" in cfg:
@@ -510,6 +515,17 @@ def test_seed_override_env(tmp_path, monkeypatch):
     assert cfg.seeds == (123,)
 
 
+def test_seed_override_requires_at_most_the_one_seed(tmp_path, monkeypatch):
+    # min_pass_count 2 is checked against the two configured seeds; the
+    # override leaves one, which alone decides the verdict
+    monkeypatch.setenv("RANDSET_SEED_OVERRIDE", "1")
+    cfg = parse_config(minimal_cfg())
+    code, _ = run_config(cfg, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert code == 0 and cfg.seeds == (1,)
+    assert (report["passing_seeds"], report["required_passing"], report["verdict"]) == (1, 1, "converged")
+
+
 def bundled(name, **over):
     return {**json.loads(bundled_config_path(f"{name}.json").read_text()), **over}
 
@@ -521,7 +537,8 @@ MARKOV_RUN = {"driver": ASYM_CHAIN, "n_max": 5000, "checkpoints": [10, 3000, 500
 PER_SEED = {
     "scalar_slln": minimal_cfg(seeds=[1, 2, 3, 4]),
     "scalar_slln_markov": minimal_cfg(**MARKOV_RUN),
-    "hausdorff_slln": bundled("segment_slln", **MARKOV_RUN),
+    # segment_slln's min_pass_count 19 would exceed the four seeds
+    "hausdorff_slln": bundled("segment_slln", **MARKOV_RUN, tolerances={"final_value": 0.05, "min_pass_count": 3}),
     "km_diagnostics": bundled("needle_halo_km", n_max=1000, checkpoints=[10, 16, 1000], seeds=[1, 2, 3]),
     "cone_tracking": bundled("ray_km_failure", seeds=[1, 2, 3]),
     "halo_certificate": bundled("needle_halo_certificate", n_max=10, seeds=[1, 2, 3]),

@@ -81,6 +81,44 @@ def test_alternating_parity_laws_and_mean():
     assert d.variance_at(1) == pytest.approx(0.01, abs=1e-15)
 
 
+def ref_draw_block_masked(driver, seed, start, count):
+    """_draw_block's index-mask rule for alternating laws and its out-of-place
+    window sum, as they were before the stride slices."""
+    m, (even, odd) = driver.m, driver.laws
+    u = uniform_block(seed, STREAM_DRIVER, start, count + m)
+    if even == odd:
+        base = even.quantile(u)
+    else:
+        base = np.empty(count + m, dtype=float)
+        at_even = np.arange(start + 1, start + count + m + 1) % 2 == 0  # 1-based indices
+        base[at_even] = even.quantile(u[at_even])
+        base[~at_even] = odd.quantile(u[~at_even])
+    if m == 0:
+        return base
+    acc = base[:count]
+    for i in range(1, m + 1):
+        acc = acc + base[i : i + count]
+    return acc / (m + 1)
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        alternating_driver(Law.uniform(0.9, 1.1), Law.normal(1.0, 0.1), seed=11),
+        alternating_driver(Law.uniform(-1.0, 1.0), Law.uniform(-3.0, 3.0), seed=12),
+        m_dependent_driver(1, Law.uniform(-1.0, 1.0), seed=13),
+        m_dependent_driver(3, Law.normal(0.5, 2.0), seed=14),
+    ],
+    ids=["alternating_uniform_normal", "alternating_uniform_uniform", "m_dependent_1", "m_dependent_3"],
+)
+@pytest.mark.parametrize("start", [0, 1, 10**9 + 6, 10**9 + 7])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 65_536])
+def test_draw_block_matches_masked_rule(driver, start, count):
+    got = mixing._draw_block(driver, driver.seed, start, count)
+    want = ref_draw_block_masked(driver, driver.seed, start, count)
+    assert [repr(float(x)) for x in got] == [repr(float(x)) for x in want]
+
+
 def test_alternating_requires_equal_means():
     with pytest.raises(ValueError):
         alternating_driver(Law.uniform(0, 1), Law.normal(1.0, 0.1))
