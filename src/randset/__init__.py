@@ -44,7 +44,6 @@ from .mixing import (
     NotStationary,
     PhiProfile,
     ScalarDriver,
-    SummabilityReport,
     TooManyEvents,
     alternating_driver,
     draw_at,
@@ -56,7 +55,6 @@ from .mixing import (
     phi_brute_force,
     phi_exact_markov,
     scalar_slln_trajectory,
-    summability_report,
 )
 from .processes import (
     AumannExpectation,

@@ -13,9 +13,6 @@ Every schema or precondition failure of a config exits 2, before anything is
 drawn, with a "ConfigInvalid: <key>: <problem>" line per problem. The schema
 tables below (_CONFIG_KEYS and _EXPERIMENTS, with the driver, law and
 tolerance keys) are the reference for which keys each experiment takes.
-The environment variable RANDSET_SEED_OVERRIDE (an integer) replaces all
-configured seeds, for fuzzing runs; a trajectory run then requires at most
-that one seed to pass.
 --threads N runs the seeds of every experiment that runs per seed (all but
 phi_profile and conditions_report, which run once) in up to N worker
 processes, no more than there are seeds or CPUs; a cell_expansion worker
@@ -59,11 +56,8 @@ from .mixing import (
     m_dependent_driver,
     markov_driver,
     scalar_slln_trajectory,
-    summability_report,
 )
 from .processes import FAMILIES, ProcessError, SetProcessSpec, _require_target
-
-SEED_OVERRIDE_VAR = "RANDSET_SEED_OVERRIDE"
 
 
 class ConfigInvalid(Exception):
@@ -310,12 +304,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if exp not in EXPERIMENTS:
         raise ConfigInvalid([f"experiment: must be one of {EXPERIMENTS}, got {exp!r}"])
     typed, problems = _fields(obj, _CONFIG_KEYS, exp)
-    override = os.environ.get(SEED_OVERRIDE_VAR)
-    if override is not None:
-        try:
-            typed["seeds"] = (int(override),)
-        except ValueError:
-            problems.append(f"{SEED_OVERRIDE_VAR}: must be an integer, got {override!r}")
     if problems:
         raise ConfigInvalid(problems)
     return ExperimentConfig(raw=canonical_config_dict(obj), spec=typed.pop("family", None), **typed)
@@ -371,8 +359,7 @@ def _run_trajectory_experiment(cfg: ExperimentConfig, out: Path, threads: int) -
     (out / "trajectory.csv").write_text(trajectory_csv(trajectories))
     finals = {t.seed: t.values[-1] for t in trajectories}
     tol, need = cfg.tolerances["final_value"], cfg.tolerances["min_pass_count"]
-    # RANDSET_SEED_OVERRIDE may leave fewer seeds than the configured count
-    need = len(cfg.seeds) if need is None else min(need, len(cfg.seeds))
+    need = len(cfg.seeds) if need is None else need
     passed = sum(1 for v in finals.values() if v <= tol)
     verdict = "converged" if passed >= need else "not_converged"
     report = {
@@ -418,11 +405,10 @@ def _run_halo(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict
 def _run_phi(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[str, dict]:
     profile = PhiProfile.for_driver(cfg.driver, cfg.n_terms)
     (out / "phi.csv").write_text("\n".join(profile.csv_rows()) + "\n")
-    rep = summability_report(profile)
-    return rep.verdict, {
+    return profile.verdict, {
         "experiment": cfg.experiment,
-        "verdict": rep.verdict,
-        "sqrt_partial_sum": rep.partial_sum,
+        "verdict": profile.verdict,
+        "sqrt_partial_sum": profile.sqrt_partial_sum,
         "method": profile.method,
     }
 

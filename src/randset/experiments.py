@@ -30,7 +30,7 @@ from .geometry import (
     scale,
     vnorm,
 )
-from .mixing import PhiProfile, checkpoint_means, summability_report
+from .mixing import PhiProfile, checkpoint_means
 from .processes import (
     AXIS_RAY,
     SetProcessSpec,
@@ -522,12 +522,11 @@ def slln_hypotheses_report(spec: SetProcessSpec, targets, directions, N: int) ->
     cannot violate anything.
     """
     profile = PhiProfile.for_driver(spec.driver, max(N, 10))
-    mix = summability_report(profile)
     violated = None
     witness = None
-    if mix.verdict == "diverging":
+    if profile.verdict == "diverging":
         violated = "mixing_summability"
-        witness = {"partial_sum": mix.partial_sum}
+        witness = {"partial_sum": profile.sqrt_partial_sum}
 
     sel_rows = []
     for t in targets:
@@ -554,8 +553,8 @@ def slln_hypotheses_report(spec: SetProcessSpec, targets, directions, N: int) ->
 
     overall = "hypotheses_hold_evidence" if violated is None else "hypothesis_violated"
     return HypothesesReport(
-        mixing_verdict=mix.verdict,
-        mixing_partial_sum=mix.partial_sum,
+        mixing_verdict=profile.verdict,
+        mixing_partial_sum=profile.sqrt_partial_sum,
         selection_rows=tuple(sel_rows),
         support_rows=tuple(sup_rows),
         overall=overall,

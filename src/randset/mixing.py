@@ -1,11 +1,13 @@
 """Reproducible phi-mixing scalar drivers and their dependence diagnostics.
 
-Drivers are immutable specs with analytically known moments; drawing is a pure
-function of (spec, seed, index range), so parallel replications agree bit for
-bit regardless of scheduling. Dependence coefficients come in two flavors:
-exact values for finite-state stationary Markov chains (total-variation
-reduction) and brute-force lower bounds from direct event enumeration. Drivers
-built from independent draws get exact zeros.
+Drivers are immutable specs with analytically known moments, and hold no seed;
+drawing is a pure function of (spec, seed, index range), so parallel
+replications agree bit for bit regardless of scheduling. Dependence
+coefficients come in two flavors: exact values for finite-state stationary
+Markov chains (total-variation reduction) and brute-force lower bounds from
+direct event enumeration. Drivers built from independent draws get exact
+zeros. PhiProfile.for_driver is the one way to build a driver's phi profile;
+its square-root partial sums and its summability verdict are read from it.
 
 A finite Markov chain steps state to state by one rule: from state i, the
 uniform u picks the first of i+1, i+2, .., i-1, i (mod s) whose cumulative
@@ -159,7 +161,6 @@ class ScalarDriver:
     transition: tuple[tuple[float, ...], ...] = ()
     stationary: tuple[float, ...] = ()
     emissions: tuple[float, ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         if self.m and self.family != "m_dependent":
@@ -218,30 +219,29 @@ def _check_stationary(P: np.ndarray, pi: np.ndarray):
         raise NotStationary("the chain is not started from its stationary vector")
 
 
-def iid_driver(law: Law, seed: int = 0) -> ScalarDriver:
-    return ScalarDriver(family="iid", law=law, seed=seed)
+def iid_driver(law: Law) -> ScalarDriver:
+    return ScalarDriver(family="iid", law=law)
 
 
-def m_dependent_driver(m: int, law: Law, seed: int = 0) -> ScalarDriver:
-    return ScalarDriver(family="m_dependent", law=law, m=m, seed=seed)
+def m_dependent_driver(m: int, law: Law) -> ScalarDriver:
+    return ScalarDriver(family="m_dependent", law=law, m=m)
 
 
-def markov_driver(transition, stationary, emissions, seed: int = 0) -> ScalarDriver:
+def markov_driver(transition, stationary, emissions) -> ScalarDriver:
     return ScalarDriver(
         family="finite_markov",
         transition=tuple(tuple(float(x) for x in row) for row in transition),
         stationary=tuple(float(x) for x in stationary),
         emissions=tuple(float(x) for x in emissions),
-        seed=seed,
     )
 
 
-def alternating_driver(law_even: Law, law_odd: Law, seed: int = 0) -> ScalarDriver:
-    return ScalarDriver(family="alternating", law=law_even, law_odd=law_odd, seed=seed)
+def alternating_driver(law_even: Law, law_odd: Law) -> ScalarDriver:
+    return ScalarDriver(family="alternating", law=law_even, law_odd=law_odd)
 
 
-def fair_sign_driver(seed: int = 0) -> ScalarDriver:
-    return iid_driver(Law.fair_signs(), seed=seed)
+def fair_sign_driver() -> ScalarDriver:
+    return iid_driver(Law.fair_signs())
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +358,19 @@ def _markov_states(driver: ScalarDriver, seed: int, start: int, count: int) -> n
         pos, x = pos + steps, int(path[-1])
 
 
-def draw_sequence(driver: ScalarDriver, n: int, seed: int | None = None) -> np.ndarray:
+def draw_sequence(driver: ScalarDriver, n: int, seed: int) -> np.ndarray:
     """The first n draws (1-based indices 1..n) for the given seed."""
     if n < 1:
         raise ValueError("n must be positive")
-    seed = driver.seed if seed is None else seed
     return _draw_block(driver, seed, 0, n)
 
 
-def draw_at(driver: ScalarDriver, index: int, seed: int | None = None) -> float:
+def draw_at(driver: ScalarDriver, index: int, seed: int) -> float:
     """The draw at a 1-based index. O(1) except for Markov drivers, which scan
     forward from the nearest kept state at or below the index: fewer than
     _STRIDE steps within the reach of earlier draws of this (chain, seed)."""
     if index < 1:
         raise ValueError("index is 1-based")
-    seed = driver.seed if seed is None else seed
     return float(_draw_block(driver, seed, index - 1, 1)[0])
 
 
@@ -411,34 +409,23 @@ def phi_exact_markov(transition, stationary, n: int) -> float:
     pi = np.asarray(stationary, dtype=float)
     _check_stationary(P, pi)
     Pn = np.linalg.matrix_power(P, n)
-    return float(0.5 * np.abs(Pn - pi[None, :]).sum(axis=1)[pi > 0].max())
+    # a total-variation distance is at most 1, but a stationary vector within
+    # the stationarity slack can round the sum past it
+    return min(1.0, float(0.5 * np.abs(Pn - pi[None, :]).sum(axis=1)[pi > 0].max()))
 
 
-def _path_atoms(P: np.ndarray, pi: np.ndarray, length: int):
-    """(paths, probs, end_state_index) of all state paths of given length."""
-    s = P.shape[0]
-    paths = list(_iproduct(range(s), repeat=length))
-    probs = np.array([pi[path[0]] * _path_product(P, path) for path in paths])
-    ends = np.array([path[-1] for path in paths], dtype=int)
-    return paths, probs, ends
-
-
-def _path_product(P: np.ndarray, path) -> float:
-    p = 1.0
-    for a, b in zip(path, path[1:]):
-        p *= P[a, b]
-    return p
-
-
-def _future_given_state(P: np.ndarray, n: int, length: int):
-    """fut[s, j] = P(future path j | chain currently at state s, gap n)."""
-    s = P.shape[0]
-    Pn = np.linalg.matrix_power(P, n)
-    paths = list(_iproduct(range(s), repeat=length))
-    fut = np.empty((s, len(paths)))
-    for j, path in enumerate(paths):
-        fut[:, j] = Pn[:, path[0]] * _path_product(P, path)
-    return fut
+def _paths(P: np.ndarray, length: int):
+    """(first states, last states, transition products) of every state path
+    of the given length, in itertools.product order; each product is taken
+    left to right from 1.0."""
+    paths = list(_iproduct(range(P.shape[0]), repeat=length))
+    prods = []
+    for path in paths:
+        p = 1.0
+        for a, b in zip(path, path[1:]):
+            p *= P[a, b]
+        prods.append(p)
+    return np.array([path[0] for path in paths]), np.array([path[-1] for path in paths]), np.array(prods)
 
 
 _EVENT_CAP = 4096  # max number of path atoms on either side of phi_brute_force
@@ -465,8 +452,11 @@ def phi_brute_force(transition, stationary, n: int, past_len: int, future_len: i
     n_past, n_fut = s**past_len, s**future_len
     if n_past > _EVENT_CAP or n_fut > _EVENT_CAP:
         raise TooManyEvents(f"{n_past} x {n_fut} path atoms exceed the enumeration cap")
-    _, past_probs, past_ends = _path_atoms(P, pi, past_len)
-    fut = _future_given_state(P, n, future_len)
+    first, past_ends, prods = _paths(P, past_len)
+    past_probs = pi[first] * prods
+    first, _, prods = _paths(P, future_len)
+    # fut[i, j] = P(future path j | chain at state i, gap n)
+    fut = np.linalg.matrix_power(P, n)[:, first] * prods
     fut_marginal = past_probs @ fut[past_ends]  # stationary law of the future block
     # P(.|a) depends on the atom a only through its last state
     cond = fut[np.unique(past_ends[past_probs > 0.0])]
@@ -479,14 +469,10 @@ def phi_brute_force(transition, stationary, n: int, past_len: int, future_len: i
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """phi(1..N) values with their square-root partial sum.
-
-    method records how the values were obtained: exact_markov, brute_force,
-    or identically_zero (independent / m-dependent tails).
-    """
+    """phi(1..N) values, and the method that obtained them: exact_markov,
+    brute_force, or identically_zero (independent / m-dependent tails)."""
 
     values: tuple[float, ...]
-    sqrt_partial_sum: float
     method: str
 
     def __post_init__(self):
@@ -497,85 +483,74 @@ class PhiProfile:
                 raise ValueError("phi must be nonincreasing")
 
     @staticmethod
-    def from_values(values, method: str) -> "PhiProfile":
-        values = tuple(float(v) for v in values)
-        total = math.fsum(math.sqrt(v) for v in values)
-        return PhiProfile(values=values, sqrt_partial_sum=total, method=method)
-
-    @staticmethod
-    def from_markov_chain(transition, stationary, n_terms: int) -> "PhiProfile":
-        vals = [phi_exact_markov(transition, stationary, n) for n in range(1, n_terms + 1)]
-        return PhiProfile.from_values(vals, method="exact_markov")
-
-    @staticmethod
-    def zero_tail(n_terms: int, zero_after: int = 0) -> "PhiProfile":
-        """Profile of an independent (zero_after=0) or m-dependent driver:
-        the trivial bound 1 up to the window, exact zeros beyond."""
-        vals = [1.0 if n <= zero_after else 0.0 for n in range(1, n_terms + 1)]
-        return PhiProfile.from_values(vals, method="identically_zero")
-
-    @staticmethod
     def for_driver(driver: ScalarDriver | None, n_terms: int) -> "PhiProfile":
-        """The dependence profile of a driver; None stands for independent draws."""
-        if driver is None or driver.family in ("iid", "alternating"):
-            return PhiProfile.zero_tail(n_terms)
-        if driver.family == "m_dependent":
-            return PhiProfile.zero_tail(n_terms, zero_after=driver.m)
-        return PhiProfile.from_markov_chain(driver.transition, driver.stationary, n_terms)
+        """The dependence profile of a driver; None stands for independent
+        draws. A Markov chain's is exact. Any other driver's draws more than m
+        apart are independent (only an m_dependent driver has m > 0), so its
+        profile is the trivial bound 1 up to m and exact zeros beyond."""
+        ns = range(1, n_terms + 1)
+        if driver is not None and driver.family == "finite_markov":
+            return PhiProfile(tuple(phi_exact_markov(driver.transition, driver.stationary, n) for n in ns), "exact_markov")
+        m = 0 if driver is None else driver.m
+        return PhiProfile(tuple(1.0 if n <= m else 0.0 for n in ns), "identically_zero")
+
+    @functools.cached_property
+    def _sqrt_sums(self) -> list[float]:
+        """[0.0, s_1, .., s_N]: s_n is the sum of the first n square roots,
+        rounded once as math.fsum rounds."""
+        sums, ticks = [0.0], 0
+        for v in self.values:
+            ticks += _ticks(math.sqrt(v))
+            sums.append(ticks / _TICKS)
+        return sums
+
+    @property
+    def sqrt_partial_sum(self) -> float:
+        return self._sqrt_sums[-1]
 
     def csv_rows(self):
-        """Row n holds phi(n) and the sum of the first n square roots, each
-        sum rounded once, so the last row's equals sqrt_partial_sum."""
+        """Row n holds phi(n) and the sum of its first n square roots."""
         rows = ["n,phi,phi_sqrt_partial_sum"]
-        ticks = 0
-        for i, v in enumerate(self.values, start=1):
-            ticks += _ticks(math.sqrt(v))
-            rows.append(f"{i},{v!r},{ticks / _TICKS!r}")
+        for n, (v, total) in enumerate(zip(self.values, self._sqrt_sums[1:]), start=1):
+            rows.append(f"{n},{v!r},{total!r}")
         return rows
 
+    @functools.cached_property
+    def verdict(self) -> str:
+        """Evidence about whether sum phi(n)^(1/2) converges: summable_evidence,
+        diverging or exact_zero.
 
-@dataclass(frozen=True)
-class SummabilityReport:
-    partial_sum: float
-    verdict: str  # summable_evidence | diverging | exact_zero
+        exact_zero when the profile has an exactly-zero tail. Otherwise the tail
+        is fit both as a geometric envelope (log phi against n) and as a power law
+        (log phi against log n); whichever fits better decides: geometric ratio
+        r < 1 is summable evidence, a power law needs exponent < -2 so that
+        phi^(1/2) decays faster than 1/n. Finite data never proves summability;
+        the verdict is labeled evidence.
+        """
+        vals = self.values
+        if len(vals) < 10:
+            raise ValueError("need at least 10 phi values")
+        if vals[-1] == 0.0:
+            return "exact_zero"
+        tail_start = len(vals) // 2
+        tail = [(n + 1.0, v) for n, v in enumerate(vals) if n >= tail_start and v > 0]
+        if len(tail) < 5:
+            return "diverging"
+        ns = np.array([t[0] for t in tail])
+        logs = np.log(np.array([t[1] for t in tail]))
 
+        def fit(x):
+            A = np.vstack([np.ones_like(x), x]).T
+            coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
+            resid = logs - A @ coef
+            return coef[1], float(resid @ resid)
 
-def summability_report(profile: PhiProfile) -> SummabilityReport:
-    """Evidence about whether sum phi(n)^(1/2) converges.
-
-    exact_zero when the profile has an exactly-zero tail. Otherwise the tail
-    is fit both as a geometric envelope (log phi against n) and as a power law
-    (log phi against log n); whichever fits better decides: geometric ratio
-    r < 1 is summable evidence, a power law needs exponent < -2 so that
-    phi^(1/2) decays faster than 1/n. Finite data never proves summability;
-    the verdict is labeled evidence.
-    """
-    vals = profile.values
-    if len(vals) < 10:
-        raise ValueError("need at least 10 phi values")
-    if vals[-1] == 0.0:
-        return SummabilityReport(partial_sum=profile.sqrt_partial_sum, verdict="exact_zero")
-    tail_start = len(vals) // 2
-    tail = [(n + 1.0, v) for n, v in enumerate(vals) if n >= tail_start and v > 0]
-    if len(tail) < 5:
-        return SummabilityReport(partial_sum=profile.sqrt_partial_sum, verdict="diverging")
-    ns = np.array([t[0] for t in tail])
-    logs = np.log(np.array([t[1] for t in tail]))
-
-    def fit(x):
-        A = np.vstack([np.ones_like(x), x]).T
-        coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
-        resid = logs - A @ coef
-        return coef[1], float(resid @ resid)
-
-    slope_geo, r_geo = fit(ns)
-    slope_pow, r_pow = fit(np.log(ns))
-    if r_geo <= r_pow:
-        ratio = math.exp(slope_geo)
-        verdict = "summable_evidence" if ratio < 1.0 - 1e-9 else "diverging"
-    else:
-        verdict = "summable_evidence" if slope_pow < -2.0 - 1e-9 else "diverging"
-    return SummabilityReport(partial_sum=profile.sqrt_partial_sum, verdict=verdict)
+        slope_geo, r_geo = fit(ns)
+        slope_pow, r_pow = fit(np.log(ns))
+        if r_geo <= r_pow:
+            ratio = math.exp(slope_geo)
+            return "summable_evidence" if ratio < 1.0 - 1e-9 else "diverging"
+        return "summable_evidence" if slope_pow < -2.0 - 1e-9 else "diverging"
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +558,7 @@ def summability_report(profile: PhiProfile) -> SummabilityReport:
 
 
 def checkpoint_means(
-    driver: ScalarDriver, n_max: int, checkpoints, seed: int | None = None, clamp: bool = False
+    driver: ScalarDriver, n_max: int, checkpoints, seed: int, clamp: bool = False
 ) -> list[float]:
     """Running means m_n at the checkpoints, in one streaming pass; of
     max(0, draw) when clamp is set (the radii of random balls).
@@ -598,7 +573,6 @@ def checkpoint_means(
     checkpoints = [int(c) for c in checkpoints]
     if any(c < 1 or c > n_max for c in checkpoints) or checkpoints != sorted(checkpoints):
         raise ValueError("checkpoints must be sorted and within 1..n_max")
-    seed = driver.seed if seed is None else seed
     values = [max(e, 0.0) for e in driver.emissions] if clamp else driver.emissions
     means = []
     partials: list[float] = []
@@ -618,9 +592,7 @@ def checkpoint_means(
     return means
 
 
-def scalar_slln_trajectory(
-    driver: ScalarDriver, n_max: int, checkpoints, seed: int | None = None
-) -> list[tuple[int, float]]:
+def scalar_slln_trajectory(driver: ScalarDriver, n_max: int, checkpoints, seed: int) -> list[tuple[int, float]]:
     """(n, |mean_n - mu|) at each checkpoint."""
     means = checkpoint_means(driver, n_max, checkpoints, seed)
     mu = driver.mean

@@ -48,7 +48,6 @@ from randset.mixing import (
     phi_brute_force,
     phi_exact_markov,
     scalar_slln_trajectory,
-    summability_report,
 )
 from randset.processes import (
     needle_halo_process,
@@ -348,10 +347,10 @@ def test_criterion_8_scalar_slln():
     finals = [scalar_slln_trajectory(MK, 10**6, [10**6], seed)[0][1] for seed in SEEDS_20]
     passed = sum(1 for v in finals if v <= 0.02)
     assert passed >= 19
-    geo = PhiProfile.from_values([0.8**n for n in range(1, 101)], method="exact_markov")
-    assert summability_report(geo).verdict == "summable_evidence"
-    inv2 = PhiProfile.from_values([1.0 / n**2 for n in range(1, 101)], method="brute_force")
-    assert summability_report(inv2).verdict == "diverging"
+    geo = PhiProfile(tuple(0.8**n for n in range(1, 101)), "exact_markov")
+    assert geo.verdict == "summable_evidence"
+    inv2 = PhiProfile(tuple(1.0 / n**2 for n in range(1, 101)), "brute_force")
+    assert inv2.verdict == "diverging"
     print(f"\nPASS criterion 8: scalar strong law {passed}/20 seeds <= 0.02, verdicts correct")
 
 

@@ -18,7 +18,7 @@ import hashlib
 
 import pytest
 
-from randset.cli import SEED_OVERRIDE_VAR, bundled_config_names, bundled_config_path, emit_plot, load_config, run_config
+from randset.cli import bundled_config_names, bundled_config_path, emit_plot, load_config, run_config
 from randset.experiments import exact_cell_expansion
 from randset.geometry import CellBudgetExceeded, format_set_union
 from randset.mixing import Law, iid_driver, markov_driver
@@ -54,8 +54,7 @@ def test_golden_table_covers_every_bundled_config():
 
 
 @pytest.mark.parametrize("name", bundled_config_names())
-def test_bundled_config_output_bytes(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_OVERRIDE_VAR, raising=False)
+def test_bundled_config_output_bytes(name, tmp_path):
     stem = name[: -len(".json")]
     out = tmp_path / stem
     run_config(load_config(bundled_config_path(name)), out)

@@ -1,5 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-no private module-level name goes unread.
+"""Source hygiene: no module of the package imports a name it never uses, no
+private module-level name goes unread, and no module reads the environment.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library. An import made inside a function
@@ -11,7 +11,9 @@ it, by name or as an attribute. Importing the package, and building a cell
 whose vertex a cone absorbs, loads no `scipy` module: no solver is used, and
 only a normal law imports `scipy.special`, at its first use. Neither the
 import nor a Markov driver's running means load `fractions` or `decimal`: the
-exact block sums are plain integer arithmetic.
+exact block sums are plain integer arithmetic. No module touches
+`os.environ`, `os.getenv` or `os.putenv`, or imports one of them from `os`,
+so a config alone decides every output.
 """
 
 import ast
@@ -115,6 +117,31 @@ def test_no_unread_private_names():
     assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []
 
 
+_ENV_NAMES = ("environ", "getenv", "putenv")
+
+
+def environment_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each use of os.environ, os.getenv or os.putenv, and of
+    each import of one of them from os."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in _ENV_NAMES:
+                out.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [(node.lineno, f"os.{a.name}") for a in node.names if a.name in _ENV_NAMES]
+    return sorted(out)
+
+
+def test_environment_checker_finds_reads():
+    src = "import os\nfrom os import environ as env, path\n\nos.environ.get('X')\nos.getenv('Y')\nos.cpu_count()\n"
+    assert environment_reads(src) == [(2, "os.environ"), (4, "os.environ"), (5, "os.getenv")]
+
+
+def test_package_reads_no_environment_variable():
+    assert [(p.name, *r) for p in PACKAGE for r in environment_reads(p.read_text())] == []
+
+
 def _fresh_process_output(code: str) -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(Path(randset.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -136,7 +163,7 @@ def test_import_and_markov_means_load_no_fractions_or_decimal():
         "import sys, randset\n"
         "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
         "d = randset.mixing.markov_driver([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], [-1.0, 1 / 3])\n"
-        "randset.mixing.checkpoint_means(d, 100, [1, 100], clamp=True)\n"
+        "randset.mixing.checkpoint_means(d, 100, [1, 100], 0, clamp=True)\n"
         "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
     )
     assert _fresh_process_output(code) == ["[]", "[]"]

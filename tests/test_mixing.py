@@ -25,7 +25,7 @@ from randset.mixing import (
     phi_brute_force,
     phi_exact_markov,
     scalar_slln_trajectory,
-    summability_report,
+
 )
 from randset.rng import STREAM_DRIVER, STREAM_DRIVER_INIT, uniform_block
 
@@ -33,8 +33,8 @@ P_SYM = [[0.9, 0.1], [0.1, 0.9]]
 PI_SYM = [0.5, 0.5]
 
 
-def sym_driver(seed=0):
-    return markov_driver(P_SYM, PI_SYM, [-1.0, 1.0], seed=seed)
+def sym_driver():
+    return markov_driver(P_SYM, PI_SYM, [-1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -42,22 +42,22 @@ def sym_driver(seed=0):
 
 
 def test_determinism_and_prefix_stability():
-    d = sym_driver(seed=7)
-    a = draw_sequence(d, 200)
-    assert np.array_equal(a, draw_sequence(d, 200))
-    assert np.array_equal(a[:50], draw_sequence(d, 50))
-    assert draw_at(d, 37) == a[36]
+    d = sym_driver()
+    a = draw_sequence(d, 200, 7)
+    assert np.array_equal(a, draw_sequence(d, 200, 7))
+    assert np.array_equal(a[:50], draw_sequence(d, 50, 7))
+    assert draw_at(d, 37, 7) == a[36]
 
 
 def test_constant_law_is_degenerate():
     d = iid_driver(Law.constant(2.5))
-    assert np.all(draw_sequence(d, 20) == 2.5)
+    assert np.all(draw_sequence(d, 20, 0) == 2.5)
 
 
 def test_m_dependent_window():
     # index k depends on base draws k-m..k only: far-apart outputs decorrelate
-    d = m_dependent_driver(2, Law.uniform(-1, 1), seed=3)
-    xs = draw_sequence(d, 200_000)
+    d = m_dependent_driver(2, Law.uniform(-1, 1))
+    xs = draw_sequence(d, 200_000, 3)
     assert abs(xs.mean() - d.mean) < 0.01
     assert abs(xs.var() - d.variance_at(1)) < 0.01
     lag = lambda g: np.corrcoef(xs[:-g], xs[g:])[0, 1]
@@ -65,14 +65,14 @@ def test_m_dependent_window():
 
 
 def test_m_dependent_block_stability():
-    d = m_dependent_driver(1, Law.uniform(0, 1), seed=5)
-    full = draw_sequence(d, 100)
-    assert draw_at(d, 60) == pytest.approx(full[59], abs=0.0)
+    d = m_dependent_driver(1, Law.uniform(0, 1))
+    full = draw_sequence(d, 100, 5)
+    assert draw_at(d, 60, 5) == pytest.approx(full[59], abs=0.0)
 
 
 def test_alternating_parity_laws_and_mean():
-    d = alternating_driver(Law.uniform(0.9, 1.1), Law.normal(1.0, 0.1), seed=11)
-    xs = draw_sequence(d, 100_000)
+    d = alternating_driver(Law.uniform(0.9, 1.1), Law.normal(1.0, 0.1))
+    xs = draw_sequence(d, 100_000, 11)
     assert abs(xs.mean() - 1.0) < 0.01  # 3 sigma / sqrt(n) is ~0.0008
     evens, odds = xs[1::2], xs[0::2]
     assert np.all((evens >= 0.9) & (evens <= 1.1))
@@ -102,20 +102,20 @@ def ref_draw_block_masked(driver, seed, start, count):
 
 
 @pytest.mark.parametrize(
-    "driver",
+    "driver, seed",
     [
-        alternating_driver(Law.uniform(0.9, 1.1), Law.normal(1.0, 0.1), seed=11),
-        alternating_driver(Law.uniform(-1.0, 1.0), Law.uniform(-3.0, 3.0), seed=12),
-        m_dependent_driver(1, Law.uniform(-1.0, 1.0), seed=13),
-        m_dependent_driver(3, Law.normal(0.5, 2.0), seed=14),
+        (alternating_driver(Law.uniform(0.9, 1.1), Law.normal(1.0, 0.1)), 11),
+        (alternating_driver(Law.uniform(-1.0, 1.0), Law.uniform(-3.0, 3.0)), 12),
+        (m_dependent_driver(1, Law.uniform(-1.0, 1.0)), 13),
+        (m_dependent_driver(3, Law.normal(0.5, 2.0)), 14),
     ],
     ids=["alternating_uniform_normal", "alternating_uniform_uniform", "m_dependent_1", "m_dependent_3"],
 )
 @pytest.mark.parametrize("start", [0, 1, 10**9 + 6, 10**9 + 7])
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 65_536])
-def test_draw_block_matches_masked_rule(driver, start, count):
-    got = mixing._draw_block(driver, driver.seed, start, count)
-    want = ref_draw_block_masked(driver, driver.seed, start, count)
+def test_draw_block_matches_masked_rule(driver, seed, start, count):
+    got = mixing._draw_block(driver, seed, start, count)
+    want = ref_draw_block_masked(driver, seed, start, count)
     assert [repr(float(x)) for x in got] == [repr(float(x)) for x in want]
 
 
@@ -181,8 +181,8 @@ def test_law_rejects_non_finite_parameters(make):
 
 
 def test_markov_empirical_stationarity():
-    d = sym_driver(seed=5)
-    xs = draw_sequence(d, 200_000)
+    d = sym_driver()
+    xs = draw_sequence(d, 200_000, 5)
     assert abs(xs.mean()) < 0.03  # effective variance factor (1+.8)/(1-.8) = 9
     # the state changes with probability 0.1 at each step
     changes = np.mean(xs[:-1] != xs[1:])
@@ -191,10 +191,10 @@ def test_markov_empirical_stationarity():
 
 def test_general_markov_loop_path():
     d = markov_driver([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
-                      [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 2.0], seed=2)
-    xs = draw_sequence(d, 50_000)
+                      [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 2.0])
+    xs = draw_sequence(d, 50_000, 2)
     assert abs(xs.mean() - 1.0) < 0.02
-    assert np.array_equal(xs[:100], draw_sequence(d, 100))
+    assert np.array_equal(xs[:100], draw_sequence(d, 100, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -608,42 +608,111 @@ def test_brute_force_matches_event_enumeration(chain):
             assert abs(phi_brute_force(P, pi, n, past, future) - ref_phi_enumerated(P, pi, n, past, future)) <= 1e-12
 
 
+def ref_path_product(P, path) -> float:
+    p = 1.0
+    for a, b in zip(path, path[1:]):
+        p *= P[a, b]
+    return p
+
+
+def ref_phi_per_path(transition, stationary, n: int, past_len: int, future_len: int) -> float:
+    """phi_brute_force as it was with one enumeration for the past atoms and
+    another for the future given each state, each path's product taken left
+    to right by ref_path_product: the bit-for-bit reference of the shared
+    path enumerator."""
+    P, pi = np.asarray(transition, dtype=float), np.asarray(stationary, dtype=float)
+    s = P.shape[0]
+    paths = list(itertools.product(range(s), repeat=past_len))
+    past_probs = np.array([pi[path[0]] * ref_path_product(P, path) for path in paths])
+    past_ends = np.array([path[-1] for path in paths], dtype=int)
+    Pn = np.linalg.matrix_power(P, n)
+    paths = list(itertools.product(range(s), repeat=future_len))
+    fut = np.empty((s, len(paths)))
+    for j, path in enumerate(paths):
+        fut[:, j] = Pn[:, path[0]] * ref_path_product(P, path)
+    fut_marginal = past_probs @ fut[past_ends]
+    cond = fut[np.unique(past_ends[past_probs > 0.0])]
+    return 0.5 * float(np.abs(cond - fut_marginal).sum(axis=1).max())
+
+
+def check_brute_force_bits(P, pi, ns):
+    # horizons up to 4: a product of three or more factors depends on their order
+    s = len(pi)
+    for past, future in itertools.product(range(1, 5), repeat=2):
+        if max(s**past, s**future) > mixing._EVENT_CAP:
+            continue
+        for n in ns:
+            assert repr(phi_brute_force(P, pi, n, past, future)) == repr(ref_phi_per_path(P, pi, n, past, future))
+
+
+@pytest.mark.parametrize("chain", ENUMERATED_CHAINS)
+def test_brute_force_bits_match_per_path_reference(chain):
+    check_brute_force_bits(*ENUMERATED_CHAINS[chain], (1, 2, 3, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@example(d=markov_driver([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [-1.0, 1.0]))  # periodic
+@given(d=chains())
+def test_brute_force_bits_match_per_path_reference_on_random_chains(d):
+    # chains() draws zero entries, a zero-mass state and periodic two-state chains
+    check_brute_force_bits(d.transition, d.stationary, (1, 2, 5))
+
+
+# a stationary vector within the stationarity slack, off by about 2e-16,
+# rounds the total-variation sum of phi(1) to 1.0000000000000002
+P_ROUNDED_PAST_ONE = [[0.8, 0.2, 0.0], [0.0, 0.125, 0.875], [0.0, 0.0, 1.0]]
+PI_ROUNDED_PAST_ONE = [2.4487768126599326e-17, -2.220446049250313e-16, 1.0000000000000002]
+
+
+def test_phi_exact_is_at_most_one():
+    assert phi_exact_markov(P_ROUNDED_PAST_ONE, PI_ROUNDED_PAST_ONE, 1) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # profiles and summability
 
 
 def test_profile_monotone_enforced():
     with pytest.raises(ValueError):
-        PhiProfile.from_values([0.1, 0.2], method="brute_force")
+        PhiProfile((0.1, 0.2), "brute_force")
     with pytest.raises(ValueError):
-        PhiProfile.from_values([1.5, 0.2], method="brute_force")
+        PhiProfile((1.5, 0.2), "brute_force")
 
 
 def test_geometric_profile_summable_with_closed_form():
     N = 200
-    profile = PhiProfile.from_values([0.8**n for n in range(1, N + 1)], method="exact_markov")
-    rep = summability_report(profile)
-    assert rep.verdict == "summable_evidence"
+    profile = PhiProfile(tuple(0.8**n for n in range(1, N + 1)), "exact_markov")
+    assert profile.verdict == "summable_evidence"
     r = math.sqrt(0.8)
     closed = r * (1 - r**N) / (1 - r)
-    assert rep.partial_sum == pytest.approx(closed, abs=1e-10)
-    assert rep.partial_sum == pytest.approx(8.472135954999576, abs=1e-6)
+    assert profile.sqrt_partial_sum == pytest.approx(closed, abs=1e-10)
+    assert profile.sqrt_partial_sum == pytest.approx(8.472135954999576, abs=1e-6)
 
 
 def test_inverse_square_profile_diverging():
-    profile = PhiProfile.from_values([1.0 / n**2 for n in range(1, 201)], method="brute_force")
-    assert summability_report(profile).verdict == "diverging"
+    profile = PhiProfile(tuple(1.0 / n**2 for n in range(1, 201)), "brute_force")
+    assert profile.verdict == "diverging"
 
 
 def test_zero_profiles_exact():
-    rep = summability_report(PhiProfile.zero_tail(50))
-    assert rep.verdict == "exact_zero" and rep.partial_sum == 0.0
-    rep2 = summability_report(PhiProfile.zero_tail(50, zero_after=2))
-    assert rep2.verdict == "exact_zero" and rep2.partial_sum == pytest.approx(2.0)
+    for driver in (None, iid_driver(Law.uniform(0, 1)), alternating_driver(Law.uniform(0, 2), Law.constant(1.0))):
+        profile = PhiProfile.for_driver(driver, 50)
+        assert profile.values == (0.0,) * 50 and profile.method == "identically_zero"
+        assert profile.verdict == "exact_zero" and profile.sqrt_partial_sum == 0.0
+    profile = PhiProfile.for_driver(m_dependent_driver(2, Law.uniform(0, 1)), 50)
+    assert profile.values == (1.0, 1.0) + (0.0,) * 48 and profile.method == "identically_zero"
+    assert profile.verdict == "exact_zero" and profile.sqrt_partial_sum == pytest.approx(2.0)
+
+
+def test_empty_profile_sums_to_zero():
+    profile = PhiProfile.for_driver(sym_driver(), 0)
+    assert profile.values == () and profile.sqrt_partial_sum == 0.0
+    assert profile.csv_rows() == ["n,phi,phi_sqrt_partial_sum"]
 
 
 def test_markov_profile_csv_shape():
-    profile = PhiProfile.from_markov_chain(P_SYM, PI_SYM, 12)
+    profile = PhiProfile.for_driver(sym_driver(), 12)
+    assert profile.method == "exact_markov"
     rows = profile.csv_rows()
     assert rows[0] == "n,phi,phi_sqrt_partial_sum"
     assert len(rows) == 13
@@ -655,7 +724,8 @@ def test_markov_profile_csv_shape():
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(0.01, 0.99), q=st.floats(0.01, 0.99))
 def test_csv_partial_sums_are_rounded_once(p, q):
-    profile = PhiProfile.from_markov_chain([[1.0 - p, p], [q, 1.0 - q]], [q / (p + q), p / (p + q)], 60)
+    driver = markov_driver([[1.0 - p, p], [q, 1.0 - q]], [q / (p + q), p / (p + q)], [0.0, 1.0])
+    profile = PhiProfile.for_driver(driver, 60)
     roots = [math.sqrt(v) for v in profile.values]
     partials = [row.split(",")[2] for row in profile.csv_rows()[1:]]
     assert partials == [repr(math.fsum(roots[:k])) for k in range(1, 61)]
@@ -665,9 +735,9 @@ def test_csv_partial_sums_are_rounded_once(p, q):
 def test_subsequence_sqrt_sum_bound():
     # sparse subsampling never beats the full sqrt sum plus the gap-0 term
     profiles = [
-        PhiProfile.from_markov_chain(P_SYM, PI_SYM, 60),
-        PhiProfile.from_values([0.9 ** (n * n) for n in range(1, 61)], method="brute_force"),
-        PhiProfile.zero_tail(60, zero_after=3),
+        PhiProfile.for_driver(sym_driver(), 60),
+        PhiProfile(tuple(0.9 ** (n * n) for n in range(1, 61)), "brute_force"),
+        PhiProfile.for_driver(m_dependent_driver(3, Law.uniform(0, 1)), 60),
     ]
     for prof in profiles:
         full = 1.0 + prof.sqrt_partial_sum  # phi(0) <= 1 covers the b=1 term
@@ -683,7 +753,7 @@ def test_subsequence_sqrt_sum_bound():
 
 
 def test_constant_driver_zero_error():
-    traj = scalar_slln_trajectory(iid_driver(Law.constant(3.0)), 1000, [1, 10, 1000])
+    traj = scalar_slln_trajectory(iid_driver(Law.constant(3.0)), 1000, [1, 10, 1000], 0)
     assert all(v == 0.0 for _, v in traj)
 
 
@@ -700,4 +770,4 @@ def test_markov_converges_with_inflated_variance():
 
 def test_checkpoints_validated():
     with pytest.raises(ValueError):
-        scalar_slln_trajectory(iid_driver(Law.uniform(0, 1)), 100, [50, 20])
+        scalar_slln_trajectory(iid_driver(Law.uniform(0, 1)), 100, [50, 20], 0)
