@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -282,14 +282,19 @@ class ConvexCell:
 
 
 def extreme_points(points, dim: int):
-    """The vertices of the convex hull of a finite point set. A point within
+    """The vertices of the convex hull of a finite point set: `_extreme_rows` of its `as_vector` tuples."""
+    return _extreme_rows([as_vector(p, dim) for p in points], dim)
+
+
+def _extreme_rows(rows, dim: int):
+    """The one hull rule, on canonical tuples (finite, no -0.0). A point within
     DEDUP_TOL of a kept one in every coordinate merges into it
     (`_dedup_points`), so no two vertices lie within DEDUP_TOL of each other,
     and `_hull_2d` drops a vertex only within DEDUP_TOL of the hull left: an
     input point lies within DEDUP_TOL of the hull per merge or drop it meets.
     The vertices run counterclockwise from the smallest one, or are the two
     sorted ends of a segment (in d = 1, of an interval)."""
-    pts = _dedup_points([as_vector(p, dim) for p in points])
+    pts = _dedup_points(rows)
     if not pts:
         raise ValueError("polytope needs at least one vertex")
     if len(pts) == 1:
@@ -353,7 +358,7 @@ def _poly_cell(vertices, cone: Cone) -> ConvexCell:
         return ConvexCell(base=Polytope(vertices=(tuple(0.0 for _ in range(d)),)), cone=cone)
     ext = extreme_points(vertices, d)
     if len(ext) > 1 and not cone.is_trivial:
-        ext = extreme_points(_drop_absorbed(ext, cone), d)
+        ext = _extreme_rows(_drop_absorbed(ext, cone), d)
     return ConvexCell(base=Polytope(vertices=tuple(ext)), cone=cone)
 
 
@@ -722,16 +727,18 @@ def _support_rows(U: np.ndarray, stack) -> np.ndarray:
     bases (c, r); it is +inf where a cone generator g has <u, g> > 0 or a
     full-space cell meets a nonzero u. Every dot product follows the
     `_coord_dot` rounding contract (coordinate-order sums from +0.0, no BLAS),
-    so each entry equals the scalar formula bit for bit.
+    so each entry equals the scalar formula bit for bit, in either layout of
+    D. D is (k points, m rows), so both reductions run over axis 0 as
+    elementwise maxima of whole rows, not along a short trailing axis.
     """
     points, n_verts, radii, full_space = stack
     n_base = n_verts + len(radii)
-    D = _coord_dot(U[:, None, :], points)
+    D = _coord_dot(points[:, None, :], U)
     if len(radii):
-        D[:, n_verts:n_base] += radii * np.sqrt(_coord_dot(U, U))[:, None]
-    out = D[:, :n_base].max(axis=1)
+        D[n_verts:n_base] += radii[:, None] * np.sqrt(_coord_dot(U, U))
+    out = D[:n_base].max(axis=0)
     if n_base < len(points):
-        out[(D[:, n_base:] > 0.0).any(axis=1)] = np.inf
+        out[(D[n_base:] > 0.0).any(axis=0)] = np.inf
     if full_space:
         out[_coord_dot(U, U) > 0.0] = np.inf
     return out
@@ -1009,13 +1016,13 @@ def hausdorff(a: SetUnion, b: SetUnion) -> float:
 def _box_clips(A: np.ndarray, T: np.ndarray, cone: Cone, R: float) -> list:
     """The cells A_i + hull(T) + cone, for the rows A_i, a canonical vertex
     list T and a 2-d cone, clipped to the box [-R, R]^2 as `extreme_points`
-    lists; a cell that misses the box gives none. A clip is the hull of the
+    lists; a cell that misses the box gives none. A clip is the hull, by
+    `_extreme_rows` after one check of the whole array of kept points, of the
     cell's vertices inside the box, the box corners that `_polytope_distances`
     puts inside the cell, and the crossings of the box's sides with the
     cell's edges and rays, the crossed coordinate set exactly to +-R. A ray
     v + t g is drawn as the segment from v to v + (|v| + 2R) g, whose far end
-    lies outside the box. A vertex or crossing may lie DEDUP_TOL outside the
-    box, as one on the box does after rounding."""
+    lies outside the box; a vertex or crossing may lie DEDUP_TOL outside it."""
     V = A[:, None, :] + T
     corners = R * np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
     pts = [V, np.broadcast_to(corners, (len(A), 4, 2))]
@@ -1032,7 +1039,9 @@ def _box_clips(A: np.ndarray, T: np.ndarray, cone: Cone, R: float) -> list:
         pts.append(X)
         keep.append(((P[..., k] - side) * (Q[..., k] - side) < 0.0) & (np.abs(X[..., 1 - k]) <= R + DEDUP_TOL))
     pts, keep = np.concatenate(pts, axis=1), np.concatenate(keep, axis=1)
-    return [extreme_points(p[m].tolist(), 2) for p, m in zip(pts, keep) if m.any()]
+    kept = np.asarray_chkfinite(pts[keep] + 0.0)  # finite, no -0.0: as_vector's checks, once per array
+    rows = map(tuple, kept.tolist())  # each cell takes its next keep.sum() rows
+    return [_extreme_rows(list(islice(rows, c)), 2) for c in keep.sum(axis=1).tolist() if c]
 
 
 def _window_pieces(u: SetUnion, R: float) -> list:
@@ -1156,15 +1165,15 @@ def spread_directions(n: int, dim: int) -> list[tuple[float, ...]]:
     prefixes of length 2^k are exactly uniform grids.
     """
     _check_dim(dim)
-    if n < 1:
-        raise ValueError("need at least one direction")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:  # np.arange would take 2.5 or True
+        raise ValueError(f"need a positive int number of directions, got {n!r}")
     if dim == 1:
         return [((1.0,) if i % 2 == 0 else (-1.0,)) for i in range(n)]
     theta = 2.0 * math.pi * _vdc_bits(np.arange(n))
     return [(math.cos(t), math.sin(t)) for t in theta]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # 4.0 and True must miss the entries of 4 and 1
 def _direction_matrix(n: int, dim: int) -> np.ndarray:
     """spread_directions(n, dim) as a read-only (n, dim) array."""
     U = np.array(spread_directions(n, dim), dtype=float)

@@ -576,6 +576,20 @@ def test_via_support_unbounded_rejected():
         hausdorff_via_support(ray_cell((0, 0), (1, 0)), point_cell((0, 0)), 8)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, False, np.int64(4), "4", None, 0, -2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_direction_count_must_be_a_positive_int(n, dim):
+    # np.arange(2.5) has 3 entries and np.arange(True) one; range(2.5) raises TypeError
+    with pytest.raises(ValueError, match="positive int number of directions"):
+        spread_directions(n, dim)
+    a, b = poly_cell([(0.0,) * dim]), poly_cell([(1.0,) * dim])
+    if isinstance(n, (int, float, np.integer)):
+        hausdorff_via_support(a, b, max(int(n), 1))  # a cached matrix for the equal int must not answer
+    with pytest.raises(ValueError, match="positive int number of directions"):
+        hausdorff_via_support(a, b, n)
+    assert len(spread_directions(3, dim)) == 3
+
+
 # ---------------------------------------------------------------------------
 # cones and canonical forms
 

@@ -7,7 +7,7 @@ identities themselves are asserted at 1e-9 as contracted.
 
 import math
 import pickle
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -29,7 +29,9 @@ from randset.geometry import (
     _cell_sum,
     _cross2,
     _dedup_points,
+    _norms,
     _poly_cell,
+    _polytope_distances,
     _window_pieces,
     as_vector,
     ball_cell,
@@ -64,6 +66,8 @@ from randset.geometry import (
     vscale,
     vsub,
 )
+from randset.experiments import exact_cell_expansion
+from randset.processes import needle_halo_process
 
 coord = st.integers(min_value=-256, max_value=256).map(lambda k: k / 64.0)
 point2 = st.tuples(coord, coord)
@@ -298,18 +302,30 @@ def test_support_bit_identical_to_scalar_formula(case):
         assert repr(support(d, u)) == repr(ref_support(d, u))
 
 
+# many more directions than stacked points, the shape of criterion 2's 4096-direction calls
+POLYGON_30 = poly_cell([(1.5 * math.cos(t) + 0.01 * math.sin(7 * t), 1.5 * math.sin(t))
+                        for t in (2.0 * math.pi * k / 30 for k in range(30))])
+MIXED_UNION = union_of([poly_cell([(math.cos(k), math.sin(k)) for k in range(12)]),
+                        ball_cell((2.0, 0.25), 0.5), point_cell((-1.0, -1.0))])
+DIRS256 = [(0.5 * c, 0.5 * s) for c, s in spread_directions(256, 2)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(any_cell(dim, True), any_cell(dim, True))), st.integers(1, 64))
+@given(st.integers(1, 2).flatmap(lambda dim: st.tuples(any_cell(dim, True), any_cell(dim, True))),
+       st.one_of(st.integers(1, 64), st.sampled_from([256, 1024, 4096])))
+@example((POLYGON_30, ball_cell((0.1, -0.2), 1.2)), 4096)
 def test_hausdorff_via_support_bit_identical_to_scalar_formula(pair, n):
     a, b = pair
     assert repr(hausdorff_via_support(a, b, n)) == repr(ref_via_support(a, b, n))
 
 
 @settings(max_examples=300, deadline=None)
-@given(union_and_directions(), st.data())
-def test_hull_membership_bit_identical_to_scalar_loop(case, data):
+@given(union_and_directions(), st.tuples(real, real))
+@example((MIXED_UNION, DIRS256), (0.1, 0.2))  # inside: every direction is read
+@example((MIXED_UNION, DIRS256), (2.0, 0.76))  # just above the ball
+def test_hull_membership_bit_identical_to_scalar_loop(case, xy):
     u, dirs = case
-    x = data.draw(st.tuples(*[real] * u.dim))
+    x = xy[: u.dim]
     assert outcome(hull_membership_via_support, x, u, dirs) == outcome(ref_hull_membership, x, u, dirs)
 
 
@@ -844,17 +860,57 @@ def ref_window_pieces(u, R):
     return [v for c in rows + list(u.others) if (v := ref_clip_cell_to_box(c, R)) is not None]
 
 
+def ref_box_clips(A, T, cone, R):
+    """`_box_clips` as it was before the kept points were checked and split
+    once per array: one `extreme_points` call, with its own `as_vector`
+    checks, per clipped cell."""
+    V = A[:, None, :] + T
+    corners = R * np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+    pts = [V, np.broadcast_to(corners, (len(A), 4, 2))]
+    keep = [(np.abs(V) <= R + DEDUP_TOL).all(axis=2),
+            _polytope_distances((corners - A[:, None, :]).reshape(-1, 2), T[None], cone).reshape(-1, 4) == 0.0]
+    n = len(T) if len(T) > 2 else len(T) - 1
+    P, Q, reach = V[:, :n], np.concatenate([V[:, 1:], V[:, :1]], axis=1)[:, :n], (_norms(V) + 2.0 * R)[..., None]
+    for g in np.array(cone.generators).reshape(-1, 2):
+        P, Q = np.concatenate([P, V], axis=1), np.concatenate([Q, V + reach * g], axis=1)
+    for k, side in product((0, 1), (R, -R)):
+        with np.errstate(all="ignore"):
+            X = P + ((side - P[..., k]) / (Q[..., k] - P[..., k]))[..., None] * (Q - P)
+        X[..., k] = side
+        pts.append(X)
+        keep.append(((P[..., k] - side) * (Q[..., k] - side) < 0.0) & (np.abs(X[..., 1 - k]) <= R + DEDUP_TOL))
+    pts, keep = np.concatenate(pts, axis=1), np.concatenate(keep, axis=1)
+    return [extreme_points(p[m].tolist(), 2) for p, m in zip(pts, keep) if m.any()]
+
+
+def ref_box_window_pieces(u, R):
+    """`_window_pieces` over `ref_box_clips`."""
+    pieces = []
+    for cone, A in u.groups.items():
+        pieces += ref_box_clips(A, np.zeros((1, 2)), cone, R)
+    for c in u.others:
+        pieces += ref_box_clips(np.zeros((1, 2)), np.array(c.base.vertices), c.cone, R)
+    return pieces
+
+
 def within(p, q, tol):
     """Every vertex of p lies within tol of some vertex of q."""
     return all(min(math.dist(x, y) for y in q) <= tol for x in p)
 
 
+# the windowed operands of the distance benchmark: 511 rays of two clipped points each, and one point
+NEEDLE_HALO_9 = exact_cell_expansion(needle_halo_process(), 9, 3)
+
+
 @settings(max_examples=300, deadline=None)
 @given(window_union(2), st.floats(0.5, 6.0))
 @example(union_of([poly_cell([(0.5, 0.0)], [(-2.0**-52, 1.0), (2.0**-52, -1.0)])]), 0.5)  # a line on the box's side
-@example(NEAR_PI_UNION, 3.0)
+@example(NEAR_PI_UNION, 3.0)  # pieces of 5 and 6 points
+@example(NEEDLE_HALO_9, 1.0)
+@example(NEEDLE_HALO_9, 4.0)
 def test_window_pieces_match_the_reference_clip(u, R):
     got, want = _window_pieces(u, R), ref_window_pieces(u, R)
+    assert repr(got) == repr(ref_box_window_pieces(u, R))
     tol = 1e-8 * max(1.0, R)
     assert len(got) == len(want)
     for p, q in zip(got, want):
